@@ -12,11 +12,12 @@ E[I_p(f) I_q(g)] = delta_pq q! <f, g>.
 
 The product of two integrals expands as
 
-    I_p(f) I_q(g) = sum_{r=0}^{p^q} r! C(p,r) C(q,r) I_{p+q-2r}(f (x~)_r g),
+    I_p(f) I_q(g) = sum_{r=0}^{p^q} r! C(p,r) C(q,r) I_{p+q-2r}(f (x~)_r g).
 
-which is the single identity behind exact squared covariances here; it is
-validated in the test suite against the independent Isserlis-style moment
-oracle below rather than taken on faith.
+Exact squared covariances come from the cross contractions f (x)_r g alone
+(see cov_squares), so neither order-2p square is ever formed.  The
+identity is validated in the test suite against multiply and against the
+independent Isserlis-style moment oracle below rather than taken on faith.
 """
 
 from __future__ import annotations
@@ -195,12 +196,32 @@ def multiply(left: ChaosElement, right: ChaosElement) -> ChaosExpansion:
 
 
 def cov_squares(left: ChaosElement, right: ChaosElement) -> float:
-    """Exact Cov(F^2, G^2) through the product formula.
+    """Exact Cov(F^2, G^2) from the cross contractions of the two kernels.
 
-    Both squares are expanded into chaos components and the covariance is
-    the inner product over shared orders k >= 1 weighted by k!.
+    For F = I_p(f) and G = I_q(g),
+
+        Cov(F^2, G^2) = sum_{r=1}^{p^q} C(p,r) C(q,r) [ p! q! ||f (x)_r g||^2
+                        + r!^2 C(p,r) C(q,r) (p+q-2r)! ||f (x~)_r g||^2 ].
+
+    It follows from E[F^2 G^2] = E[(FG)^2], the product formula for FG, and
+    (p+q)! ||f (x~) g||^2 = p! q! sum_{r>=0} C(p,r) C(q,r) ||f (x)_r g||^2,
+    whose r = 0 term is E[F^2] E[G^2] (Nourdin-Rosinski, Ann. Probab. 2014).
+    Every term is nonnegative, which gives max_r ||f (x)_r g||^2 <=
+    Cov(F^2, G^2).  One contraction per r feeds both terms; the order-2p
+    square multiply(F, F) is never built.
     """
-    return multiply(left, left).covariance(multiply(right, right))
+    if left.space != right.space:
+        raise ValidationError("squared covariance requires elements over the same space")
+    p, q = left.order, right.order
+    total = 0.0
+    for r in range(1, min(p, q) + 1):
+        raw = contract(left.kernel, right.kernel, r)
+        pairs = math.comb(p, r) * math.comb(q, r)
+        total += pairs * (
+            math.factorial(p) * math.factorial(q) * raw.norm() ** 2
+            + math.factorial(r) ** 2 * pairs * math.factorial(p + q - 2 * r) * raw.symmetrized().norm() ** 2
+        )
+    return total
 
 
 def contraction_norms(left: ChaosElement, right: ChaosElement) -> list[float]:

@@ -142,8 +142,7 @@ def cmd_cov2(args) -> int:
     rows = _pair_rows(vector, cov_matrix)
     config = {"subcommand": "cov2", "manifest": args.manifest, "format": args.format}
     if args.format == "csv":
-        table = [(row.i, row.j, row.cov2, row.max_norm, row.argmax_r, int(row.cross)) for row in rows]
-        text = _csv_text(config, None, IndependenceReport.CSV_COLUMNS, table)
+        text = _csv_text(config, None, IndependenceReport.CSV_COLUMNS, [row.csv_row() for row in rows])
     else:
         payload = {
             "orders": list(vector.orders),

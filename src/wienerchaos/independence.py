@@ -6,20 +6,22 @@ asymptotic-independence criterion, and the two witness scales are tied by
 
     max_r ||f (x)_r g||^2  <=  Cov(F^2, G^2),
 
-which follows termwise from the product-formula expansion of the
-covariance (every term there is a nonnegative multiple of a contraction
-norm squared).  The empirical side estimates the factorization gap
-|E prod psi_j(block_j) - prod E psi_j(block_j)| over a dictionary of test
-functions with certified derivative bounds, and the ratio probe divides
-the gap by the dictionary norms times the summed square roots of the cross
-squared covariances to watch for an unbounded constant.
+which follows termwise from the cross-contraction identity for the
+covariance (see chaos.cov_squares): every term there is a nonnegative
+multiple of ||f (x)_r g||^2 or ||f (x~)_r g||^2 with r >= 1, and the exact
+side never forms a square F_i^2.  The empirical side estimates the
+factorization gap |E prod psi_j(block_j) - prod E psi_j(block_j)| over a
+dictionary of test functions with certified derivative bounds, and the
+ratio probe divides the gap by the dictionary norms times the summed
+square roots of the cross squared covariances to watch for an unbounded
+constant.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,11 +33,9 @@ from .chaos import (
     contraction_norms,
     cov_squares,
     evaluate,
-    multiply,
     variance,
 )
 from .exceptions import DegenerateInputError, ValidationError
-from .tensor import HilbertSpace
 
 # Statistical floor: below this many samples the block machinery is noise.
 MIN_SAMPLES = 10_000
@@ -185,6 +185,11 @@ class PairRow:
     max_norm: float
     argmax_r: int
 
+    CSV_COLUMNS = ("pair_i", "pair_j", "cov2", "max_contraction_norm", "r_argmax", "cross")
+
+    def csv_row(self) -> tuple:
+        return (self.i, self.j, self.cov2, self.max_norm, self.argmax_r, int(self.cross))
+
 
 @dataclass(frozen=True)
 class EmpiricalDependence:
@@ -217,13 +222,10 @@ class IndependenceReport:
     witness_norm_r: int
     empirical: EmpiricalDependence | None = None
 
-    CSV_COLUMNS = ("pair_i", "pair_j", "cov2", "max_contraction_norm", "r_argmax", "cross")
+    CSV_COLUMNS = PairRow.CSV_COLUMNS
 
     def csv_rows(self) -> list[tuple]:
-        return [
-            (row.i, row.j, row.cov2, row.max_norm, row.argmax_r, int(row.cross))
-            for row in self.pairs
-        ]
+        return [row.csv_row() for row in self.pairs]
 
     def summary(self) -> dict:
         out = {
@@ -264,15 +266,15 @@ def squared_cov_matrix(vector: ChaosVector) -> np.ndarray:
     """Matrix of Cov(F_i^2, F_j^2) over flat element positions.
 
     The diagonal holds Var(F_i^2).  Cross-group entries feed the criterion;
-    within-group entries are informational.
+    within-group entries are informational.  Each entry is cov_squares of
+    its pair, so no square F_i^2 is expanded.
     """
     elements = vector.elements
-    squares = [multiply(element, element) for element in elements]
     m = len(elements)
     out = np.zeros((m, m))
     for i in range(m):
         for j in range(i, m):
-            value = squares[i].covariance(squares[j])
+            value = cov_squares(elements[i], elements[j])
             out[i, j] = value
             out[j, i] = value
     return out

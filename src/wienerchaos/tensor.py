@@ -5,6 +5,8 @@ A symmetric order-q tensor is stored as a map from its sorted multi-index
 Any permutation of a stored index carries the same coefficient, so the
 stored entries enumerate orbits, and the orbit size q!/prod(a_i!) (a_i the
 occupation counts) enters every norm and inner-product computation.
+Operations drop exact zeros only; a coefficient is never truncated for being
+small, so results scale homogeneously with their inputs.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ from .exceptions import ResourceLimitError, ValidationError
 
 # Exact integer multiplicity arithmetic is guaranteed up to this order.
 MAX_ORDER = 20
-
-# Coefficients at or below this magnitude are dropped after an operation.
-COEFF_DROP = 1e-15
 
 # Dense materialization guard (entries of the full N**q array).
 _DENSE_LIMIT = 1 << 24
@@ -70,11 +69,6 @@ def _validate_index(index, order: int, dimension: int) -> Index:
     if any(index[k] > index[k + 1] for k in range(len(index) - 1)):
         raise ValidationError(f"index {index!r} is not sorted ascending")
     return index
-
-
-def _clean(entries: dict[Index, float], drop: float = COEFF_DROP) -> dict[Index, float]:
-    """Sort keys lexicographically and drop coefficients at or below `drop`."""
-    return {k: entries[k] for k in sorted(entries) if abs(entries[k]) > drop}
 
 
 class SymmetricTensor:
@@ -137,7 +131,7 @@ class SymmetricTensor:
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0.0) + v
-        return SymmetricTensor(self.space, self.order, _clean(out))
+        return SymmetricTensor(self.space, self.order, out)
 
     def norm(self) -> float:
         return math.sqrt(inner(self, self))
@@ -210,7 +204,7 @@ class RawTensor:
             key = tuple(sorted(left + right))
             acc[key] = acc.get(key, 0.0) + multiplicity(left) * multiplicity(right) * value
         out = {key: acc[key] / multiplicity(key) for key in acc}
-        return SymmetricTensor(self.space, self.order, _clean(out))
+        return SymmetricTensor(self.space, self.order, out)
 
     def to_dense(self) -> np.ndarray:
         n = self.space.dimension
@@ -276,7 +270,7 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
             key = tuple(sorted(int(i) + 1 for i in pos))
             acc[key] = acc.get(key, 0.0) + float(raw[pos])
         out = {key: acc[key] / multiplicity(key) for key in acc}
-        return SymmetricTensor(space, q, _clean(out))
+        return SymmetricTensor(space, q, out)
     if isinstance(raw, Mapping):
         if space is None:
             raise ValidationError("mapping input requires an explicit space")
@@ -295,7 +289,7 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
             skey = tuple(sorted(key))
             acc[skey] = acc.get(skey, 0.0) + float(raw[key])
         out = {key: acc[key] / multiplicity(key) for key in acc}
-        return SymmetricTensor(space, order, _clean(out))
+        return SymmetricTensor(space, order, out)
     raise ValidationError(f"cannot symmetrize object of type {type(raw).__name__}")
 
 
@@ -366,7 +360,6 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
             for rest_g, vg in matches:
                 key = (rest_f, rest_g)
                 out[key] = out.get(key, 0.0) + weight * vg
-    out = {k: v for k, v in sorted(out.items()) if abs(v) > COEFF_DROP}
     return RawTensor(f.space, f.order - r, g.order - r, out)
 
 

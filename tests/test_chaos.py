@@ -302,3 +302,66 @@ def test_element_rejects_order_zero():
     sp = HilbertSpace(2)
     with pytest.raises(ValidationError):
         ChaosElement(SymmetricTensor(sp, 0, {(): 1.0}))
+
+
+def test_cov_squares_matches_product_formula_oracle():
+    # The cross-contraction identity against the expansion of both squares
+    # with multiply, on random pairs of orders up to 4 (with (4, 2) forced).
+    rng = np.random.default_rng(31)
+    orders = [(4, 2)] * 10 + [tuple(int(o) for o in rng.integers(1, 5, size=2)) for _ in range(50)]
+    for p, q in orders:
+        sp = HilbertSpace(int(rng.integers(2, 6)))
+        F = rand_element(rng, sp, p, nnz=int(rng.integers(1, 6)))
+        G = rand_element(rng, sp, q, nnz=int(rng.integers(1, 6)))
+        expected = multiply(F, F).covariance(multiply(G, G))
+        assert abs(cov_squares(F, G) - expected) <= 1e-12 * abs(expected)
+
+
+def test_second_chaos_closed_form_from_dense_matrices():
+    # For F = I_2(f), G = I_2(g) with kernel matrices A, B:
+    # Cov(F^2, G^2) = 32 ||AB||_F^2 + 16 tr((AB)^2) + 8 (tr AB)^2,
+    # ||f (x)_1 g|| = ||AB||_F and ||f (x)_2 g|| = |tr AB|.  N = 30 is past
+    # the Isserlis oracle's dimension guard.
+    rng = np.random.default_rng(32)
+    sp = HilbertSpace(30)
+    for _ in range(5):
+        F = rand_element(rng, sp, 2, nnz=60)
+        G = rand_element(rng, sp, 2, nnz=60)
+        A, B = F.kernel.to_dense(), G.kernel.to_dense()
+        AB = A @ B
+        frob2, tr = float(np.sum(AB * AB)), float(np.trace(AB))
+        expected = 32 * frob2 + 16 * float(np.trace(AB @ AB)) + 8 * tr**2
+        assert abs(cov_squares(F, G) - expected) <= 1e-12 * expected
+        one, two = contraction_norms(F, G)
+        assert abs(one - math.sqrt(frob2)) <= 1e-12 * math.sqrt(frob2)
+        assert abs(two - abs(tr)) <= 1e-12 * abs(tr)
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-4, 1.0, 1e3, 1e6])
+def test_cov_squares_and_norms_are_homogeneous(s):
+    # Cov(F^2, G^2) is of degree 4 and each contraction norm of degree 2 in
+    # the kernels; no small coefficient may be truncated along the way.
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        sp = HilbertSpace(int(rng.integers(2, 5)))
+        F = rand_element(rng, sp, int(rng.integers(1, 4)))
+        G = rand_element(rng, sp, int(rng.integers(1, 4)))
+        Fs, Gs = ChaosElement(F.kernel.scaled(s)), ChaosElement(G.kernel.scaled(s))
+        cov = cov_squares(F, G)
+        assert abs(cov_squares(Fs, Gs) - s**4 * cov) <= 1e-12 * s**4 * abs(cov)
+        for scaled, norm in zip(contraction_norms(Fs, Gs), contraction_norms(F, G)):
+            assert abs(scaled - s**2 * norm) <= 1e-12 * s**2 * norm
+
+
+def test_small_kernels_are_not_truncated():
+    # A = s [[1,2,0],[2,0,0],[0,0,0]], B = s [[0,1,0],[1,0,1],[0,1,0]]:
+    # ||AB||_F^2 = 13 s^4, tr AB = 4 s^2, tr((AB)^2) = 8 s^4, so the closed
+    # form above gives 672 s^4, far below any absolute cutoff at s = 1e-8.
+    sp = HilbertSpace(3)
+    for s in (1e-8, 1.0):
+        F = ChaosElement(SymmetricTensor(sp, 2, {(1, 1): s, (1, 2): 2 * s}))
+        G = ChaosElement(SymmetricTensor(sp, 2, {(1, 2): s, (2, 3): s}))
+        assert abs(cov_squares(F, G) - 672 * s**4) <= 1e-12 * 672 * s**4
+        one, two = contraction_norms(F, G)
+        assert abs(one - math.sqrt(13) * s**2) <= 1e-12 * s**2
+        assert abs(two - 4 * s**2) <= 1e-12 * s**2

@@ -78,6 +78,13 @@ def test_cov2_csv_matches_check_witness(workdir):
     assert any("wienerchaos 0.1.0" in c for c in comments)
 
 
+def test_cov2_and_check_csv_rows_are_identical(workdir):
+    # both commands write the pair table through PairRow.csv_row
+    assert main(["cov2", "persistent.json", "--out", "cov2.csv"]) == 0
+    assert main(["check", "persistent.json", "--samples", "0", "--format", "csv", "--out", "check.csv"]) == 1
+    assert read_csv("cov2.csv")[1] == read_csv("check.csv")[1]
+
+
 def test_cov2_all_zero_for_disjoint(workdir):
     assert main(["cov2", "disjoint.json", "--out", "d.csv"]) == 0
     _, rows = read_csv("d.csv")

@@ -269,3 +269,27 @@ def test_bound_ratio_rejects_exact_independence():
 
 def test_min_samples_constant():
     assert MIN_SAMPLES == 10_000
+
+
+def test_criterion_check_never_expands_a_square(monkeypatch):
+    # The exact path works from cross contractions only; neither multiply
+    # nor an expansion covariance may run.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the exact path expanded a product")
+
+    monkeypatch.setattr(wc.chaos, "multiply", forbidden)
+    monkeypatch.setattr(wc.chaos.ChaosExpansion, "covariance", forbidden)
+    report = wc.criterion_check(second_chaos_pair(0.5))
+    assert report.witness_cov > 0.0
+
+
+def test_vanishing_overlap_witness_at_large_n():
+    # delta = theta n^(-1/4); the (2,2) cross witnesses are 14 delta^4 and
+    # delta^2 / 2.  The order-4 square of each element would have about
+    # n^2 = 1.7e7 entries here; the cross-contraction path never builds it.
+    n = 4096
+    v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5), n)
+    delta = 0.5 * n**-0.25
+    report = wc.criterion_check(v)
+    assert abs(report.witness_cov - 14 * delta**4) <= 1e-12 * 14 * delta**4
+    assert abs(report.witness_norm - delta**2 / 2) <= 1e-12 * delta**2 / 2
