@@ -1,9 +1,8 @@
-"""Timing for the two batch-evaluation backends.
+"""Timing for the batch evaluator.
 
-Runs the jitted kernel and the numpy fallback on identical inputs, checks
-the outputs are bitwise equal, and reports the best wall time of each over
-several repeats.  The numba path parallelizes over samples; pin it with
-NUMBA_NUM_THREADS to measure scaling.
+Times wc.evaluate on two fixed workloads and reports the best wall time
+over several repeats, with the rate in entry-samples per second (stored
+kernel entries times sample rows).
 
 Usage: python3 benchmarks/bench_evaluate.py [--samples 200000] [--repeats 5]
 """
@@ -14,7 +13,6 @@ import time
 import numpy as np
 
 import wienerchaos as wc
-from wienerchaos import _accel
 
 
 def _workloads(samples: int):
@@ -51,29 +49,15 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
 
-    print(f"backend available: {_accel.backend_name()}, samples per run: {args.samples}")
-    header = f"{'workload':<16} {'entries':>7} {'numpy s':>9} {'numba s':>9} {'speedup':>8}  bitwise"
+    print(f"samples per run: {args.samples}")
+    header = f"{'workload':<16} {'entries':>7} {'best s':>9} {'entry-samples/s':>16}"
     print(header)
     print("-" * len(header))
 
     for name, element, x in _workloads(args.samples):
-        prepared = element.prepared()
-        x = np.ascontiguousarray(x)
-        out_np = _accel._evaluate_numpy(*prepared, x)
-        t_np = _best(_accel._evaluate_numpy, (*prepared, x), args.repeats)
-        if _accel.HAVE_NUMBA:
-            _accel._evaluate_numba(*prepared, x[:64])  # compile outside the timed region
-            out_nb = _accel._evaluate_numba(*prepared, x)
-            t_nb = _best(_accel._evaluate_numba, (*prepared, x), args.repeats)
-            same = np.array_equal(out_np, out_nb)
-            print(
-                f"{name:<16} {prepared[3].shape[0]:>7} {t_np:>9.4f} {t_nb:>9.4f}"
-                f" {t_np / t_nb:>7.1f}x  {same}"
-            )
-            if not same:
-                raise SystemExit("backend outputs differ")
-        else:
-            print(f"{name:<16} {prepared[3].shape[0]:>7} {t_np:>9.4f} {'n/a':>9} {'n/a':>8}  n/a")
+        entries = len(element.kernel.entries)
+        best = _best(wc.evaluate, (element, x), args.repeats)
+        print(f"{name:<16} {entries:>7} {best:>9.4f} {entries * x.shape[0] / best:>16.3g}")
 
 
 if __name__ == "__main__":

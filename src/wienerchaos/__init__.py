@@ -24,7 +24,7 @@ from .exceptions import (
     ValidationError,
     WienerChaosError,
 )
-from .hermite import HermiteEvaluator, hermite, hermite_all
+from .hermite import hermite, hermite_all
 from .independence import (
     ChaosVector,
     IndependenceReport,
@@ -64,7 +64,6 @@ __all__ = [
     "DegenerateInputError",
     "FamilySpec",
     "GENERATOR_TAG",
-    "HermiteEvaluator",
     "HilbertSpace",
     "IndependenceReport",
     "InvalidKernelError",

@@ -27,8 +27,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import _accel
 from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError
+from .hermite import hermite_orders
 from .tensor import HilbertSpace, SymmetricTensor, contract, contract_sym, inner, occupation
 
 # Guards for the brute-force moment oracle.
@@ -61,7 +61,12 @@ class ChaosElement:
         return f"ChaosElement(order={self.order}, N={self.space.dimension}, nnz={len(self.kernel.entries)})"
 
     def prepared(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat (coords, counts, offsets, coeffs) arrays for batch evaluation."""
+        """Flat (coords, counts, offsets, coeffs) arrays for batch evaluation.
+
+        For stored entry e, coeffs[e] is q! times its kernel value, and slots
+        offsets[e]:offsets[e+1] of (coords, counts) hold its 0-based
+        coordinates and their occupation counts.
+        """
         if self._prep is None:
             coords: list[int] = []
             counts: list[int] = []
@@ -135,6 +140,10 @@ class ChaosExpansion:
 def evaluate(obj: Union[ChaosElement, ChaosExpansion], x: np.ndarray) -> Union[float, np.ndarray]:
     """Pathwise value(s) of an element or expansion.
 
+    Each sample's value is sum over stored entries of q! f[m] prod_i
+    H_{a_i}(x_i), accumulated in stored entry order with the factors taken
+    left to right, so equal inputs give bitwise equal outputs.
+
     Parameters
     ----------
     x : ndarray
@@ -148,16 +157,26 @@ def evaluate(obj: Union[ChaosElement, ChaosExpansion], x: np.ndarray) -> Union[f
     if arr.ndim != 2 or arr.shape[1] != _space_of(obj).dimension:
         raise ValidationError(f"sample array shape {np.shape(x)} does not match dimension {_space_of(obj).dimension}")
     if isinstance(obj, ChaosElement):
-        values = _accel.evaluate_batch(*obj.prepared(), arr)
+        values = _evaluate_prepared(*obj.prepared(), arr)
     elif isinstance(obj, ChaosExpansion):
         values = np.full(arr.shape[0], obj.expectation())
         for order in sorted(obj.components):
             if order == 0:
                 continue
-            values = values + _accel.evaluate_batch(*ChaosElement(obj.components[order]).prepared(), arr)
+            values = values + _evaluate_prepared(*ChaosElement(obj.components[order]).prepared(), arr)
     else:
         raise ValidationError(f"cannot evaluate object of type {type(obj).__name__}")
     return float(values[0]) if single else values
+
+
+def _evaluate_prepared(coords, counts, offsets, coeffs, x: np.ndarray) -> np.ndarray:
+    out = np.zeros(x.shape[0])
+    for e in range(coeffs.shape[0]):
+        term = coeffs[e]
+        for s in range(offsets[e], offsets[e + 1]):
+            term = term * hermite_orders(int(counts[s]), x[:, coords[s]])[-1]
+        out = out + term
+    return out
 
 
 def _space_of(obj) -> HilbertSpace:
@@ -210,18 +229,26 @@ def cov_squares(left: ChaosElement, right: ChaosElement) -> float:
     Cov(F^2, G^2).  One contraction per r feeds both terms; the order-2p
     square multiply(F, F) is never built.
     """
+    return cov_squares_and_norms(left, right)[0]
+
+
+def cov_squares_and_norms(left: ChaosElement, right: ChaosElement) -> tuple[float, list[float]]:
+    """cov_squares and contraction_norms of one pair, one contraction per r."""
     if left.space != right.space:
         raise ValidationError("squared covariance requires elements over the same space")
     p, q = left.order, right.order
     total = 0.0
+    norms = []
     for r in range(1, min(p, q) + 1):
         raw = contract(left.kernel, right.kernel, r)
+        norm = raw.norm()
         pairs = math.comb(p, r) * math.comb(q, r)
         total += pairs * (
-            math.factorial(p) * math.factorial(q) * raw.norm() ** 2
+            math.factorial(p) * math.factorial(q) * norm**2
             + math.factorial(r) ** 2 * pairs * math.factorial(p + q - 2 * r) * raw.symmetrized().norm() ** 2
         )
-    return total
+        norms.append(norm)
+    return total, norms
 
 
 def contraction_norms(left: ChaosElement, right: ChaosElement) -> list[float]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import __version__, montecarlo
@@ -22,13 +21,12 @@ from .exceptions import DegenerateInputError, WienerChaosError
 from .independence import (
     _cross_cov_root_sum,
     _dependence_table,
+    _exact_pairs,
     _group_dictionaries,
     _max_ratio,
-    _pair_rows,
     IndependenceReport,
     criterion_check,
     empirical_dependence,
-    squared_cov_matrix,
 )
 from .sequences import (
     FAMILIES,
@@ -39,6 +37,7 @@ from .sequences import (
     load_kernel,
     load_vector,
     raw_document,
+    write_atomic,
 )
 from .tensor import contract, contract_sym
 
@@ -106,11 +105,8 @@ def _with_meta(document: str, meta: dict) -> str:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        return
-    tmp = f"{out}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, out)
+    else:
+        write_atomic(text, out)
 
 
 def _summary_text(payload: dict, meta: dict) -> str:
@@ -138,8 +134,7 @@ def cmd_contract(args) -> int:
 
 def cmd_cov2(args) -> int:
     vector = load_vector(args.manifest)
-    cov_matrix = squared_cov_matrix(vector)
-    rows = _pair_rows(vector, cov_matrix)
+    cov_matrix, rows = _exact_pairs(vector)
     config = {"subcommand": "cov2", "manifest": args.manifest, "format": args.format}
     if args.format == "csv":
         text = _csv_text(config, None, IndependenceReport.CSV_COLUMNS, [row.csv_row() for row in rows])

@@ -17,19 +17,28 @@ from .exceptions import ValidationError
 ArrayLike = Union[float, np.ndarray]
 
 
+def hermite_orders(max_order: int, x: np.ndarray) -> list:
+    """[H_0(x), ..., H_max_order(x)] by the three-term recurrence.
+
+    H_0 is the scalar 1.0 and H_1 is x itself, not a copy; every higher
+    order is a new array.
+    """
+    prev, cur = 1.0, x
+    table = [prev, cur]
+    for k in range(1, max_order):
+        prev, cur = cur, (x * cur - prev) / (k + 1)
+        table.append(cur)
+    return table[: max_order + 1]
+
+
 def hermite(q: int, x: ArrayLike) -> ArrayLike:
     """Evaluate H_q at x (scalar or array) by the three-term recurrence."""
     if not isinstance(q, int) or q < 0:
         raise ValidationError(f"hermite order must be a non-negative integer, got {q!r}")
-    scalar = np.isscalar(x)
     xa = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(xa)
-    if q == 0:
-        return float(prev) if scalar else prev
-    cur = xa.copy()
-    for k in range(1, q):
-        prev, cur = cur, (xa * cur - prev) / (k + 1)
-    return float(cur) if scalar else cur
+    out = np.empty_like(xa)
+    out[...] = hermite_orders(q, xa)[q]
+    return float(out) if np.isscalar(x) else out
 
 
 def hermite_all(max_order: int, x: ArrayLike) -> np.ndarray:
@@ -38,31 +47,6 @@ def hermite_all(max_order: int, x: ArrayLike) -> np.ndarray:
         raise ValidationError(f"max_order must be a non-negative integer, got {max_order!r}")
     xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty((max_order + 1,) + xa.shape)
-    out[0] = 1.0
-    if max_order >= 1:
-        out[1] = xa
-    for k in range(1, max_order):
-        out[k + 1] = (xa * out[k] - out[k - 1]) / (k + 1)
+    for k, values in enumerate(hermite_orders(max_order, xa)):
+        out[k] = values
     return out
-
-
-class HermiteEvaluator:
-    """Evaluator bound to a fixed maximum order.
-
-    Calls with q above max_order raise ValidationError, which keeps chaos
-    evaluation honest about the polynomial degrees it claims to support.
-    """
-
-    def __init__(self, max_order: int):
-        if not isinstance(max_order, int) or max_order < 0:
-            raise ValidationError(f"max_order must be a non-negative integer, got {max_order!r}")
-        self.max_order = max_order
-
-    def __call__(self, q: int, x: ArrayLike) -> ArrayLike:
-        if not isinstance(q, int) or not 0 <= q <= self.max_order:
-            raise ValidationError(f"order {q!r} outside 0..{self.max_order}")
-        return hermite(q, x)
-
-    def table(self, x: ArrayLike) -> np.ndarray:
-        """All orders 0..max_order at once, shape (max_order + 1, len(x))."""
-        return hermite_all(self.max_order, x)

@@ -30,8 +30,7 @@ from . import montecarlo
 from .chaos import (
     STANDARDIZED_TOL,
     ChaosElement,
-    contraction_norms,
-    cov_squares,
+    cov_squares_and_norms,
     evaluate,
     variance,
 )
@@ -269,39 +268,35 @@ def squared_cov_matrix(vector: ChaosVector) -> np.ndarray:
     within-group entries are informational.  Each entry is cov_squares of
     its pair, so no square F_i^2 is expanded.
     """
-    elements = vector.elements
-    m = len(elements)
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            value = cov_squares(elements[i], elements[j])
-            out[i, j] = value
-            out[j, i] = value
-    return out
+    return _exact_pairs(vector)[0]
 
 
-def _pair_rows(vector: ChaosVector, cov_matrix: np.ndarray) -> list[PairRow]:
-    # Upper triangle including the diagonal, so the table carries the whole
-    # matrix; only rows with cross=True feed the criterion verdict.
+def _exact_pairs(vector: ChaosVector) -> tuple[np.ndarray, list[PairRow]]:
+    # One pass over the upper triangle including the diagonal, so the rows
+    # carry the whole matrix; only rows with cross=True feed the criterion
+    # verdict.  Each pair's contractions feed both its cov2 and its norms.
     elements = vector.elements
     group_of = vector.group_index
+    m = len(elements)
+    cov_matrix = np.zeros((m, m))
     rows = []
-    for i in range(len(elements)):
-        for j in range(i, len(elements)):
-            norms = tuple(contraction_norms(elements[i], elements[j]))
-            argmax = int(np.argmax(norms)) + 1
+    for i in range(m):
+        for j in range(i, m):
+            cov2, norms = cov_squares_and_norms(elements[i], elements[j])
+            cov_matrix[i, j] = cov2
+            cov_matrix[j, i] = cov2
             rows.append(
                 PairRow(
                     i=i + 1,
                     j=j + 1,
                     cross=group_of[i] != group_of[j],
-                    cov2=float(cov_matrix[i, j]),
-                    norms=norms,
+                    cov2=cov2,
+                    norms=tuple(norms),
                     max_norm=max(norms),
-                    argmax_r=argmax,
+                    argmax_r=int(np.argmax(norms)) + 1,
                 )
             )
-    return rows
+    return cov_matrix, rows
 
 
 def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceReport:
@@ -316,8 +311,7 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
         raise ValidationError("criterion checks need at least two groups")
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValidationError(f"tolerance must be positive, got {tol!r}")
-    cov_matrix = squared_cov_matrix(vector)
-    rows = _pair_rows(vector, cov_matrix)
+    cov_matrix, rows = _exact_pairs(vector)
     cross = [row for row in rows if row.cross]
     witness_cov = max(cross, key=lambda row: row.cov2)
     witness_norm = max(cross, key=lambda row: row.max_norm)

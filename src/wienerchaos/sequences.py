@@ -159,12 +159,38 @@ def kernel_document(tensor: SymmetricTensor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_kernel(tensor: SymmetricTensor, path: str) -> None:
-    text = kernel_document(tensor)
+def write_atomic(text: str, path: str) -> None:
+    """Write text to path via a temporary file and a rename; a failed write leaves no partial file."""
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
     os.replace(tmp, path)
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as error:
+        raise InvalidKernelError(f"{path}: {error}") from error
+    except json.JSONDecodeError as error:
+        raise InvalidKernelError(f"{path}: not valid JSON ({error})") from error
+
+
+def _checked_index(entry_label: str, name: str, side, order: int, dimension: int) -> tuple[int, ...]:
+    if not isinstance(side, list) or any(not isinstance(i, int) or isinstance(i, bool) for i in side):
+        raise InvalidKernelError(f"{entry_label}: {name} must be a list of integers, got {side!r}")
+    if len(side) != order:
+        raise InvalidKernelError(f"{entry_label}: {name} {side} has length {len(side)}, expected {order}")
+    if any(i < 1 or i > dimension for i in side):
+        raise InvalidKernelError(f"{entry_label}: {name} {side} leaves the range 1..{dimension}")
+    if any(a > b for a, b in zip(side, side[1:])):
+        raise InvalidKernelError(f"{entry_label}: {name} {side} is not sorted ascending")
+    return tuple(side)
+
+
+def save_kernel(tensor: SymmetricTensor, path: str) -> None:
+    write_atomic(kernel_document(tensor), path)
 
 
 def _parse_kernel(document: Mapping, where: str) -> SymmetricTensor:
@@ -188,23 +214,12 @@ def _parse_kernel(document: Mapping, where: str) -> SymmetricTensor:
         label = f"{where}: entry {position + 1}"
         if not isinstance(entry, Mapping) or set(entry) != {"index", "value"}:
             raise InvalidKernelError(f'{label} must be an object with exactly "index" and "value"')
-        index = entry["index"]
+        key = _checked_index(label, "index", entry["index"], order, dimension)
         value = entry["value"]
-        if not isinstance(index, list) or any(
-            not isinstance(i, int) or isinstance(i, bool) for i in index
-        ):
-            raise InvalidKernelError(f"{label}: index must be a list of integers, got {index!r}")
-        if len(index) != order:
-            raise InvalidKernelError(f"{label}: index {index} has length {len(index)}, expected {order}")
-        if any(i < 1 or i > dimension for i in index):
-            raise InvalidKernelError(f"{label}: index {index} leaves the range 1..{dimension}")
-        if any(a > b for a, b in zip(index, index[1:])):
-            raise InvalidKernelError(f"{label}: index {index} is not sorted ascending")
         if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
             raise InvalidKernelError(f"{label}: value {value!r} is not a finite number")
-        key = tuple(index)
         if key in entries:
-            raise InvalidKernelError(f"{label}: duplicate index {index}")
+            raise InvalidKernelError(f"{label}: duplicate index {entry['index']}")
         entries[key] = float(value)
     return SymmetricTensor(space, order, entries)
 
@@ -235,23 +250,7 @@ def raw_document(raw: RawTensor) -> str:
 
 
 def save_raw(raw: RawTensor, path: str) -> None:
-    text = raw_document(raw)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-
-
-def _checked_raw_side(entry_label: str, name: str, side, order: int, dimension: int) -> tuple[int, ...]:
-    if not isinstance(side, list) or any(not isinstance(i, int) or isinstance(i, bool) for i in side):
-        raise InvalidKernelError(f"{entry_label}: {name} must be a list of integers, got {side!r}")
-    if len(side) != order:
-        raise InvalidKernelError(f"{entry_label}: {name} {side} has length {len(side)}, expected {order}")
-    if any(i < 1 or i > dimension for i in side):
-        raise InvalidKernelError(f"{entry_label}: {name} {side} leaves the range 1..{dimension}")
-    if any(a > b for a, b in zip(side, side[1:])):
-        raise InvalidKernelError(f"{entry_label}: {name} {side} is not sorted ascending")
-    return tuple(side)
+    write_atomic(raw_document(raw), path)
 
 
 def _parse_raw(document: Mapping, where: str) -> RawTensor:
@@ -278,8 +277,8 @@ def _parse_raw(document: Mapping, where: str) -> RawTensor:
             raise InvalidKernelError(
                 f'{label} must be an object with exactly "left", "right" and "value"'
             )
-        left = _checked_raw_side(label, "left", entry["left"], left_order, dimension)
-        right = _checked_raw_side(label, "right", entry["right"], right_order, dimension)
+        left = _checked_index(label, "left", entry["left"], left_order, dimension)
+        right = _checked_index(label, "right", entry["right"], right_order, dimension)
         value = entry["value"]
         if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
             raise InvalidKernelError(f"{label}: value {value!r} is not a finite number")
@@ -293,28 +292,14 @@ def load_raw(source: str | Mapping) -> RawTensor:
     """Read an unsymmetrized contraction from a JSON file path or document."""
     if isinstance(source, Mapping):
         return _parse_raw(source, "raw tensor")
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as error:
-        raise InvalidKernelError(f"{source}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise InvalidKernelError(f"{source}: not valid JSON ({error})") from error
-    return _parse_raw(document, str(source))
+    return _parse_raw(_read_json(source), str(source))
 
 
 def load_kernel(source: str | Mapping) -> SymmetricTensor:
     """Read a kernel from a JSON file path or an already-parsed document."""
     if isinstance(source, Mapping):
         return _parse_kernel(source, "kernel")
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as error:
-        raise InvalidKernelError(f"{source}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise InvalidKernelError(f"{source}: not valid JSON ({error})") from error
-    return _parse_kernel(document, str(source))
+    return _parse_kernel(_read_json(source), str(source))
 
 
 def vector_document(vector: ChaosVector) -> str:
@@ -338,11 +323,7 @@ def vector_document(vector: ChaosVector) -> str:
 
 
 def save_vector(vector: ChaosVector, path: str) -> None:
-    text = vector_document(vector)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    write_atomic(vector_document(vector), path)
 
 
 def load_vector(source: str | Mapping) -> ChaosVector:
@@ -360,13 +341,7 @@ def load_vector(source: str | Mapping) -> ChaosVector:
     else:
         where = str(source)
         base_dir = os.path.dirname(os.path.abspath(source))
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except OSError as error:
-            raise InvalidKernelError(f"{source}: {error}") from error
-        except json.JSONDecodeError as error:
-            raise InvalidKernelError(f"{source}: not valid JSON ({error})") from error
+        document = _read_json(source)
     if not isinstance(document, Mapping):
         raise InvalidKernelError(f"{where}: manifest must be a JSON object")
     if "groups" not in document or not isinstance(document["groups"], list) or not document["groups"]:

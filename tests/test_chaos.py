@@ -11,6 +11,7 @@ Three oracles with no code shared with the implementation:
    brute-force Isserlis-style oracle, which then cross-checks cov_squares.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from wienerchaos.chaos import (
     variance,
 )
 from wienerchaos.exceptions import DegenerateInputError, ResourceLimitError, ValidationError
+from wienerchaos.montecarlo import sample
+from wienerchaos.sequences import FamilySpec, generate
 from wienerchaos.tensor import HilbertSpace, SymmetricTensor
 
 
@@ -78,6 +81,33 @@ def test_evaluate_rejects_wrong_width():
     el = ChaosElement(SymmetricTensor(sp, 1, {(1,): 1.0}))
     with pytest.raises(ValidationError):
         evaluate(el, np.zeros((5, 3)))
+
+
+def test_evaluate_bytes_are_pinned():
+    # sweep, simulate and check payloads are byte-pinned, so the evaluator's
+    # IEEE operation order is too: these digests are fixed values
+    sp = HilbertSpace(3)
+    order3 = ChaosElement(SymmetricTensor(sp, 3, {(1, 1, 2): 0.3, (2, 3, 3): -0.7, (1, 2, 3): 0.11}))
+    x = np.random.default_rng(3).normal(size=(512, 3))
+    assert hashlib.sha256(evaluate(order3, x).tobytes()).hexdigest() == (
+        "446fa0d14cec69f344049b8650d4745397cf7d4648c1cce8fd9db3fbad3301ce"
+    )
+    vector = generate(FamilySpec("vanishing_overlap", (2, 2), (1, 1)), 32)
+    block = sample(7, vector.space.dimension, 100_000).block(0)
+    assert hashlib.sha256(evaluate(vector.groups[0][0], block).tobytes()).hexdigest() == (
+        "8d6385863af875fd94f6fdd1827ed83c71fc9fdefca8913fe8b0fe177eccdab0"
+    )
+
+
+def test_evaluate_accepts_fortran_order_input():
+    rng = np.random.default_rng(9)
+    sp = HilbertSpace(4)
+    entries = {}
+    for _ in range(5):
+        entries[tuple(sorted(int(i) for i in rng.integers(1, 5, size=3)))] = float(rng.normal())
+    element = ChaosElement(SymmetricTensor(sp, 3, entries))
+    x = rng.normal(size=(400, 4))
+    assert evaluate(element, x).tobytes() == evaluate(element, np.asfortranarray(x)).tobytes()
 
 
 def test_isometry_by_quadrature():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from wienerchaos.exceptions import ValidationError
-from wienerchaos.hermite import HermiteEvaluator, hermite, hermite_all
+from wienerchaos.hermite import hermite, hermite_all
 
 
 def hermite_coeffs(q):
@@ -78,13 +78,13 @@ def test_hermite_all_stacks_orders():
         assert np.array_equal(table[q], hermite(q, x))
 
 
-def test_evaluator_caps_order():
-    ev = HermiteEvaluator(5)
-    x = np.array([0.3])
-    assert np.allclose(ev(5, x), hermite(5, x))
-    with pytest.raises(ValidationError):
-        ev(6, x)
-    assert ev.table(x).shape == (6, 1)
+def test_hermite_returns_a_new_array():
+    x = np.linspace(-1.0, 1.0, 5)
+    for q in range(3):
+        value = hermite(q, x)
+        assert not np.shares_memory(value, x), q
+        value[:] = 7.0
+    assert np.array_equal(x, np.linspace(-1.0, 1.0, 5))
 
 
 def test_rejects_negative_order():

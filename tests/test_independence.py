@@ -283,6 +283,23 @@ def test_criterion_check_never_expands_a_square(monkeypatch):
     assert report.witness_cov > 0.0
 
 
+def test_criterion_check_contracts_each_pair_once_per_rank(monkeypatch):
+    # cov2 and the contraction norms of a pair come from the same
+    # contractions: one contract call per (pair, r), diagonal pairs included
+    calls = []
+    contract = wc.chaos.contract
+
+    def counting(f, g, r):
+        calls.append(r)
+        return contract(f, g, r)
+
+    monkeypatch.setattr(wc.chaos, "contract", counting)
+    v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5), 16)
+    wc.criterion_check(v)
+    pairs = 3  # (1, 1), (1, 2), (2, 2)
+    assert sorted(calls) == [1] * pairs + [2] * pairs
+
+
 def test_vanishing_overlap_witness_at_large_n():
     # delta = theta n^(-1/4); the (2,2) cross witnesses are 14 delta^4 and
     # delta^2 / 2.  The order-4 square of each element would have about
