@@ -33,6 +33,7 @@ from .independence import (
     criterion_check,
     default_dictionary,
     empirical_dependence,
+    exact_pairs,
     squared_cov_matrix,
 )
 from .montecarlo import GENERATOR_TAG, SampleBatch, estimate, sample
@@ -84,6 +85,7 @@ __all__ = [
     "empirical_dependence",
     "estimate",
     "evaluate",
+    "exact_pairs",
     "generate",
     "hermite",
     "hermite_all",

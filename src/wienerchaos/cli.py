@@ -19,19 +19,15 @@ from . import __version__, montecarlo
 from .chaos import evaluate
 from .exceptions import DegenerateInputError, WienerChaosError
 from .independence import (
-    _cross_cov_root_sum,
-    _dependence_table,
-    _exact_pairs,
-    _group_dictionaries,
-    _max_ratio,
     IndependenceReport,
     criterion_check,
     empirical_dependence,
+    exact_pairs,
 )
 from .sequences import (
     FAMILIES,
     FamilySpec,
-    _format_float,
+    format_float,
     generate,
     kernel_document,
     load_kernel,
@@ -89,7 +85,7 @@ def _csv_text(config: dict, seed: int | None, columns: tuple[str, ...], rows: li
             elif isinstance(cell, int):
                 cells.append(str(cell))
             else:
-                cells.append(_format_float(cell))
+                cells.append(format_float(cell))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -128,13 +124,13 @@ def cmd_contract(args) -> int:
     meta["norm"] = norm
     _emit(_with_meta(document, meta), args.out)
     stream = sys.stdout if args.out else sys.stderr
-    print(f"norm: {_format_float(norm)}", file=stream)
+    print(f"norm: {format_float(norm)}", file=stream)
     return 0
 
 
 def cmd_cov2(args) -> int:
     vector = load_vector(args.manifest)
-    cov_matrix, rows = _exact_pairs(vector)
+    cov_matrix, rows = exact_pairs(vector)
     config = {"subcommand": "cov2", "manifest": args.manifest, "format": args.format}
     if args.format == "csv":
         text = _csv_text(config, None, IndependenceReport.CSV_COLUMNS, [row.csv_row() for row in rows])
@@ -143,10 +139,7 @@ def cmd_cov2(args) -> int:
             "orders": list(vector.orders),
             "sizes": list(vector.sizes),
             "cov_matrix": [[value for value in line] for line in cov_matrix.tolist()],
-            "pairs": [
-                {"i": row.i, "j": row.j, "cross": row.cross, "cov2": row.cov2, "norms": list(row.norms)}
-                for row in rows
-            ],
+            "pairs": [row.json_row() for row in rows],
         }
         text = _summary_text(payload, _meta(config, seed=None))
     _emit(text, args.out)
@@ -175,16 +168,16 @@ def cmd_check(args) -> int:
     passed = report.cov_pass and report.contraction_pass
     stream = sys.stdout if args.out else sys.stderr
     print(
-        f"cov2 witness {_format_float(report.witness_cov)} at pair {report.witness_cov_pair}, "
-        f"contraction witness {_format_float(report.witness_norm)} at pair "
+        f"cov2 witness {format_float(report.witness_cov)} at pair {report.witness_cov_pair}, "
+        f"contraction witness {format_float(report.witness_norm)} at pair "
         f"{report.witness_norm_pair} (r={report.witness_norm_r}), tol {args.tol:g}: "
         f"{'PASS' if passed else 'FAIL'}",
         file=stream,
     )
     if report.empirical is not None:
         print(
-            f"empirical gap {_format_float(report.empirical.gap)} +/- "
-            f"{_format_float(report.empirical.stderr)} at tuple {', '.join(report.empirical.labels)}",
+            f"empirical gap {format_float(report.empirical.gap)} +/- "
+            f"{format_float(report.empirical.stderr)} at tuple {', '.join(report.empirical.labels)}",
             file=stream,
         )
     return 0 if passed else 1
@@ -220,16 +213,12 @@ def cmd_sweep(args) -> int:
     for n in ns:
         vector = generate(spec, n)
         report = criterion_check(vector, tol=args.tol)
-        dictionaries = _group_dictionaries(vector, None)
-        table, _ = _dependence_table(vector, dictionaries, args.samples, args.seed, None)
-        best = max(table, key=lambda row: abs(row[1]))
+        empirical = empirical_dependence(vector, samples=args.samples, seed=args.seed)
         try:
-            ratio = _max_ratio(
-                vector, dictionaries, table, _cross_cov_root_sum(vector, report.cov_matrix)
-            )
+            ratio = empirical.ratio(report)
         except DegenerateInputError:
             ratio = float("nan")
-        rows.append((n, report.witness_cov, report.witness_norm, abs(best[1]), best[2], ratio))
+        rows.append((n, report.witness_cov, report.witness_norm, empirical.gap, empirical.stderr, ratio))
     _emit(_csv_text(config, args.seed, SWEEP_COLUMNS, rows), args.out)
     return 0
 
@@ -254,7 +243,7 @@ def cmd_simulate(args) -> int:
         values = [evaluate(element, block) for element in elements]
         for row in range(block.shape[0]):
             position += 1
-            cells = [str(position)] + [_format_float(column[row]) for column in values]
+            cells = [str(position)] + [format_float(column[row]) for column in values]
             lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -34,10 +34,14 @@ from .chaos import (
     evaluate,
     variance,
 )
-from .exceptions import DegenerateInputError, ValidationError
+from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError
 
 # Statistical floor: below this many samples the block machinery is noise.
 MIN_SAMPLES = 10_000
+
+# Largest number of dictionary tuples (one test function per group) a gap
+# estimate may range over; the default dictionary gives 7**d.
+MAX_TUPLES = 1 << 16
 
 
 class ChaosVector:
@@ -189,10 +193,18 @@ class PairRow:
     def csv_row(self) -> tuple:
         return (self.i, self.j, self.cov2, self.max_norm, self.argmax_r, int(self.cross))
 
+    def json_row(self) -> dict:
+        return {"i": self.i, "j": self.j, "cross": self.cross, "cov2": self.cov2, "norms": list(self.norms)}
+
 
 @dataclass(frozen=True)
 class EmpiricalDependence:
-    """Largest factorization gap over dictionary tuples, with its stderr."""
+    """Largest factorization gap over dictionary tuples, with its stderr.
+
+    rows holds (labels, |gap|, stderr) per tuple; budgets holds, per row,
+    the dictionary factors of its ratio budget: ||psi_d'||_inf for the last
+    group, then each other group's dictionary norm at order q_1.
+    """
 
     gap: float
     stderr: float
@@ -201,6 +213,24 @@ class EmpiricalDependence:
     seed: int
     n_blocks: int
     rows: tuple[tuple[tuple[str, ...], float, float], ...]
+    budgets: tuple[tuple[float, ...], ...]
+
+    def ratio(self, report: IndependenceReport) -> float:
+        """Empirical gap over its theoretical budget, maximized over tuples.
+
+        The exact side comes from report.pairs, the empirical side from
+        this result, so no sample is drawn and no contraction runs; see
+        bound_ratio for the budget.  Raises DegenerateInputError when a
+        cross pair has zero squared covariance.
+        """
+        cov_root_sum = _cross_cov_root_sum(report.pairs)
+        best = 0.0
+        for (_, gap, _), factors in zip(self.rows, self.budgets):
+            budget = factors[0] * cov_root_sum
+            for factor in factors[1:]:
+                budget *= factor
+            best = max(best, gap / budget)
+        return best
 
 
 @dataclass(frozen=True)
@@ -238,16 +268,7 @@ class IndependenceReport:
             "witness_contraction": self.witness_norm,
             "witness_contraction_pair": list(self.witness_norm_pair),
             "witness_contraction_r": self.witness_norm_r,
-            "pairs": [
-                {
-                    "i": row.i,
-                    "j": row.j,
-                    "cross": row.cross,
-                    "cov2": row.cov2,
-                    "norms": list(row.norms),
-                }
-                for row in self.pairs
-            ],
+            "pairs": [row.json_row() for row in self.pairs],
         }
         if self.empirical is not None:
             out["empirical"] = {
@@ -268,13 +289,16 @@ def squared_cov_matrix(vector: ChaosVector) -> np.ndarray:
     within-group entries are informational.  Each entry is cov_squares of
     its pair, so no square F_i^2 is expanded.
     """
-    return _exact_pairs(vector)[0]
+    return exact_pairs(vector)[0]
 
 
-def _exact_pairs(vector: ChaosVector) -> tuple[np.ndarray, list[PairRow]]:
-    # One pass over the upper triangle including the diagonal, so the rows
-    # carry the whole matrix; only rows with cross=True feed the criterion
-    # verdict.  Each pair's contractions feed both its cov2 and its norms.
+def exact_pairs(vector: ChaosVector) -> tuple[np.ndarray, list[PairRow]]:
+    """Squared-covariance matrix and one PairRow per unordered element pair.
+
+    One pass over the upper triangle including the diagonal, so the rows
+    carry the whole matrix; only rows with cross=True feed the criterion
+    verdict.  Each pair's contractions feed both its cov2 and its norms.
+    """
     elements = vector.elements
     group_of = vector.group_index
     m = len(elements)
@@ -311,7 +335,7 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
         raise ValidationError("criterion checks need at least two groups")
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValidationError(f"tolerance must be positive, got {tol!r}")
-    cov_matrix, rows = _exact_pairs(vector)
+    cov_matrix, rows = exact_pairs(vector)
     cross = [row for row in rows if row.cross]
     witness_cov = max(cross, key=lambda row: row.cov2)
     witness_norm = max(cross, key=lambda row: row.max_norm)
@@ -352,16 +376,34 @@ def _group_dictionaries(
     return per_group
 
 
-def _dependence_table(
+def empirical_dependence(
     vector: ChaosVector,
-    dictionaries: list[list[TestFunction]],
-    samples: int,
-    seed: int,
-    block_size: int | None,
-) -> tuple[list[tuple[tuple[int, ...], float, float]], int]:
-    """Per-tuple (index tuple, signed gap, stderr) via full-size block means."""
+    functions: Sequence[TestFunction] | Sequence[Sequence[TestFunction]] | None = None,
+    samples: int = 100_000,
+    seed: int = 0,
+    block_size: int | None = None,
+) -> EmpiricalDependence:
+    """Largest empirical factorization gap over dictionary tuples.
+
+    For each tuple of test functions (one per group, applied coordinatewise
+    and multiplied within a group) the gap |E prod - prod E| is estimated
+    by block means over full-size blocks, and the tuple with the largest
+    absolute gap is reported together with its standard error.  The result
+    also carries each tuple's budget factors, so EmpiricalDependence.ratio
+    needs no second sampling pass.
+
+    Requires samples >= MIN_SAMPLES; estimates below that floor are noise
+    and are rejected rather than returned.  More than MAX_TUPLES tuples
+    raise ResourceLimitError before any sample is drawn.
+    """
+    if vector.d < 2:
+        raise ValidationError("dependence gaps need at least two groups")
     if not isinstance(samples, int) or samples < MIN_SAMPLES:
         raise ValidationError(f"samples must be an integer >= {MIN_SAMPLES}, got {samples!r}")
+    dictionaries = _group_dictionaries(vector, functions)
+    n_tuples = math.prod(len(d) for d in dictionaries)
+    if n_tuples > MAX_TUPLES:
+        raise ResourceLimitError(f"{n_tuples} dictionary tuples exceed the limit MAX_TUPLES = {MAX_TUPLES}")
     batch = montecarlo.sample(seed, vector.space.dimension, samples, block_size)
     if batch.n_full_blocks < montecarlo.MIN_BLOCKS:
         raise ValidationError(
@@ -396,46 +438,21 @@ def _dependence_table(
             for g, k in enumerate(combo):
                 mean_factored *= group_means[g][k]
             stats[t].append(mean_prod - mean_factored)
-    table = []
     n_blocks = len(stats[0])
+    q1 = vector.orders[0]
+    deriv_last = [f.deriv_bound(1) * f.sup ** (vector.sizes[-1] - 1) for f in dictionaries[-1]]
+    norms = [[f.norm(q1) ** vector.sizes[g] for f in dictionaries[g]] for g in range(vector.d - 1)]
+    rows = []
+    budgets = []
+    best = None
     for combo, block_stats in zip(combos, stats):
         arr = np.asarray(block_stats)
-        gap = float(arr.mean())
-        stderr = float(arr.std(ddof=1) / math.sqrt(n_blocks))
-        table.append((combo, gap, stderr))
-    return table, n_blocks
-
-
-def empirical_dependence(
-    vector: ChaosVector,
-    functions: Sequence[TestFunction] | Sequence[Sequence[TestFunction]] | None = None,
-    samples: int = 100_000,
-    seed: int = 0,
-    block_size: int | None = None,
-) -> EmpiricalDependence:
-    """Largest empirical factorization gap over dictionary tuples.
-
-    For each tuple of test functions (one per group, applied coordinatewise
-    and multiplied within a group) the gap |E prod - prod E| is estimated
-    by block means over full-size blocks, and the tuple with the largest
-    absolute gap is reported together with its standard error.
-
-    Requires samples >= MIN_SAMPLES; estimates below that floor are noise
-    and are rejected rather than returned.
-    """
-    if vector.d < 2:
-        raise ValidationError("dependence gaps need at least two groups")
-    if not isinstance(samples, int) or samples < MIN_SAMPLES:
-        raise ValidationError(f"samples must be an integer >= {MIN_SAMPLES}, got {samples!r}")
-    dictionaries = _group_dictionaries(vector, functions)
-    table, n_blocks = _dependence_table(vector, dictionaries, samples, seed, block_size)
-    rows = []
-    best = None
-    for combo, gap, stderr in table:
         labels = tuple(dictionaries[g][k].name for g, k in enumerate(combo))
-        rows.append((labels, abs(gap), stderr))
-        if best is None or abs(gap) > best[1]:
-            best = (labels, abs(gap), stderr)
+        row = (labels, abs(float(arr.mean())), float(arr.std(ddof=1) / math.sqrt(n_blocks)))
+        rows.append(row)
+        budgets.append((deriv_last[combo[-1]],) + tuple(norms[g][k] for g, k in enumerate(combo[:-1])))
+        if best is None or row[1] > best[1]:
+            best = row
     return EmpiricalDependence(
         gap=best[1],
         stderr=best[2],
@@ -444,6 +461,7 @@ def empirical_dependence(
         seed=seed,
         n_blocks=n_blocks,
         rows=tuple(rows),
+        budgets=tuple(budgets),
     )
 
 
@@ -464,48 +482,25 @@ def bound_ratio(
     the content of the existential constant in the factorization bound.
     Used only to check boundedness; the value itself estimates no sharp
     constant.
+
+    One exact pass and one sampling pass; exactly independent input raises
+    DegenerateInputError before any sample is drawn.  A caller that already
+    holds both results gets the same value from EmpiricalDependence.ratio.
     """
-    if vector.d < 2:
-        raise ValidationError("the ratio probe needs at least two groups")
-    if not isinstance(samples, int) or samples < MIN_SAMPLES:
-        raise ValidationError(f"samples must be an integer >= {MIN_SAMPLES}, got {samples!r}")
-    dictionaries = _group_dictionaries(vector, functions)
-    cov_root_sum = _cross_cov_root_sum(vector, squared_cov_matrix(vector))
-    table, _ = _dependence_table(vector, dictionaries, samples, seed, block_size)
-    return _max_ratio(vector, dictionaries, table, cov_root_sum)
+    report = criterion_check(vector)
+    _cross_cov_root_sum(report.pairs)  # degenerate input fails here, before sampling
+    return empirical_dependence(vector, functions, samples, seed, block_size).ratio(report)
 
 
-def _cross_cov_root_sum(vector: ChaosVector, cov_matrix: np.ndarray) -> float:
-    group_of = vector.group_index
+def _cross_cov_root_sum(pairs: Sequence[PairRow]) -> float:
     total = 0.0
-    m = len(group_of)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if group_of[i] == group_of[j]:
-                continue
-            value = cov_matrix[i, j]
-            if value <= 0.0:
-                raise DegenerateInputError(
-                    f"cross pair ({i + 1}, {j + 1}) has squared covariance {value!r}; "
-                    "the ratio is undefined on exactly independent input"
-                )
-            total += math.sqrt(value)
+    for row in pairs:
+        if not row.cross:
+            continue
+        if row.cov2 <= 0.0:
+            raise DegenerateInputError(
+                f"cross pair ({row.i}, {row.j}) has squared covariance {row.cov2!r}; "
+                "the ratio is undefined on exactly independent input"
+            )
+        total += math.sqrt(row.cov2)
     return total
-
-
-def _max_ratio(
-    vector: ChaosVector,
-    dictionaries: list[list[TestFunction]],
-    table: list[tuple[tuple[int, ...], float, float]],
-    cov_root_sum: float,
-) -> float:
-    q1 = vector.orders[0]
-    best = 0.0
-    for combo, gap, _ in table:
-        last = dictionaries[-1][combo[-1]]
-        deriv_last = last.deriv_bound(1) * last.sup ** (vector.sizes[-1] - 1)
-        budget = deriv_last * cov_root_sum
-        for g in range(vector.d - 1):
-            budget *= dictionaries[g][combo[g]].norm(q1) ** vector.sizes[g]
-        best = max(best, abs(gap) / budget)
-    return best

@@ -22,6 +22,7 @@ The file formats are plain JSON with 1-based sorted multi-indices and
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -137,8 +138,8 @@ def generate(spec: FamilySpec, n: int) -> ChaosVector:
     return ChaosVector(groups)
 
 
-def _format_float(value: float) -> str:
-    # 17 significant digits round-trip IEEE doubles exactly.
+def format_float(value: float) -> str:
+    """17 significant digits, which round-trip IEEE doubles exactly."""
     return format(float(value), ".17g")
 
 
@@ -148,7 +149,7 @@ def kernel_document(tensor: SymmetricTensor) -> str:
     entry_lines = []
     for index, value in tensor.items():
         index_text = ", ".join(str(i) for i in index)
-        entry_lines.append(f'    {{"index": [{index_text}], "value": {_format_float(value)}}}')
+        entry_lines.append(f'    {{"index": [{index_text}], "value": {format_float(value)}}}')
     if entry_lines:
         lines.append('  "entries": [')
         lines.append(",\n".join(entry_lines))
@@ -162,9 +163,14 @@ def kernel_document(tensor: SymmetricTensor) -> str:
 def write_atomic(text: str, path: str) -> None:
     """Write text to path via a temporary file and a rename; a failed write leaves no partial file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_json(path: str):
@@ -237,7 +243,7 @@ def raw_document(raw: RawTensor) -> str:
         left_text = ", ".join(str(i) for i in left)
         right_text = ", ".join(str(i) for i in right)
         entry_lines.append(
-            f'    {{"left": [{left_text}], "right": [{right_text}], "value": {_format_float(value)}}}'
+            f'    {{"left": [{left_text}], "right": [{right_text}], "value": {format_float(value)}}}'
         )
     if entry_lines:
         lines.append('  "entries": [')

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, headers, round trips, deterministic output."""
 
+import ast
 import json
 import math
 import os
@@ -85,6 +86,13 @@ def test_cov2_and_check_csv_rows_are_identical(workdir):
     assert read_csv("cov2.csv")[1] == read_csv("check.csv")[1]
 
 
+def test_cov2_and_check_summary_pairs_are_identical(workdir):
+    # both commands write the pair objects through PairRow.json_row
+    assert main(["cov2", "persistent.json", "--format", "summary", "--out", "cov2.json"]) == 0
+    assert main(["check", "persistent.json", "--samples", "0", "--out", "check.json"]) == 1
+    assert json.load(open("cov2.json"))["pairs"] == json.load(open("check.json"))["pairs"]
+
+
 def test_cov2_all_zero_for_disjoint(workdir):
     assert main(["cov2", "disjoint.json", "--out", "d.csv"]) == 0
     _, rows = read_csv("d.csv")
@@ -160,6 +168,21 @@ def test_sweep_disjoint_nan_ratio(workdir):
     assert cov2 == "0" and norm == "0" and ratio == "nan"
 
 
+def test_sweep_row_matches_the_library(workdir):
+    argv = [
+        "sweep", "--family", "vanishing_overlap", "--orders", "2,2", "--sizes", "1,1",
+        "--theta", "0.5", "--n", "4,8", "--samples", "20000", "--seed", "5", "--out", "s.csv",
+    ]  # fmt: skip
+    assert main(argv) == 0
+    _, rows = read_csv("s.csv")
+    for n, row in zip((4, 8), rows[1:]):
+        vector = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5), n)
+        emp = wc.empirical_dependence(vector, samples=20_000, seed=5)
+        ratio = wc.bound_ratio(vector, samples=20_000, seed=5)
+        cells = [repr(float(cell)) for cell in row.split(",")[-3:]]
+        assert cells == [repr(emp.gap), repr(emp.stderr), repr(ratio)]
+
+
 def test_sweep_byte_identical_reruns(workdir):
     argv = [
         "sweep", "--family", "vanishing_overlap", "--orders", "2,2", "--sizes", "1,1",
@@ -202,6 +225,19 @@ def test_failed_run_leaves_no_output_file(workdir):
     assert main(["cov2", "bad.json", "--out", "never.csv"]) == 2
     assert not os.path.exists("never.csv")
     assert not os.path.exists("never.csv.tmp")
+
+
+def test_cli_imports_no_private_names():
+    # the CLI is a shell over the public API: no "from .module import _name"
+    tree = ast.parse(open(os.path.join(os.path.dirname(wc.__file__), "cli.py")).read())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 def test_console_script_help_documents_formats():

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import wienerchaos as wc
-from wienerchaos.exceptions import DegenerateInputError, ValidationError
+from wienerchaos.exceptions import DegenerateInputError, ResourceLimitError, ValidationError
 from wienerchaos.independence import (
+    MAX_TUPLES,
     MIN_SAMPLES,
     TestFunction,
     _tanh_deriv_bound,
@@ -265,6 +266,46 @@ def test_bound_ratio_rejects_exact_independence():
     v = wc.ChaosVector([[X], [Y]])
     with pytest.raises(DegenerateInputError):
         wc.bound_ratio(v, samples=20_000, seed=4)
+
+
+def forbid(monkeypatch, target, attribute):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{attribute} was called")
+
+    monkeypatch.setattr(target, attribute, forbidden)
+
+
+def test_ratio_from_held_results_matches_bound_ratio(monkeypatch):
+    # the ratio reuses the exact report and the sampled rows: no sample is
+    # drawn and no contraction runs, and the value is bound_ratio's, bitwise
+    v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2, 1), (2, 1, 1), theta=0.5), 4)
+    expected = wc.bound_ratio(v, samples=20_000, seed=6)
+    report = wc.criterion_check(v)
+    emp = wc.empirical_dependence(v, samples=20_000, seed=6)
+    forbid(monkeypatch, wc.montecarlo, "sample")
+    forbid(monkeypatch, wc.chaos, "contract")
+    got = emp.ratio(report)
+    assert repr(got) == repr(expected)
+    assert len(emp.budgets) == len(emp.rows)
+
+
+def test_bound_ratio_rejects_exact_independence_before_sampling(monkeypatch):
+    v = wc.generate(wc.FamilySpec("disjoint", (2, 2), (1, 1)), 4)
+    forbid(monkeypatch, wc.montecarlo, "sample")
+    with pytest.raises(DegenerateInputError):
+        wc.bound_ratio(v, samples=20_000, seed=4)
+
+
+def test_tuple_count_guard_fires_before_sampling(monkeypatch):
+    # six first-order groups with the 7-function default dictionary give
+    # 7**6 tuples; the four-group 7**4 case stays allowed
+    assert 7**4 <= MAX_TUPLES < 7**6
+    sp = wc.HilbertSpace(6)
+    groups = [[wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(i,): 1.0}))] for i in range(1, 7)]
+    v = wc.ChaosVector(groups)
+    forbid(monkeypatch, wc.montecarlo, "sample")
+    with pytest.raises(ResourceLimitError, match="117649"):
+        wc.empirical_dependence(v, samples=20_000)
 
 
 def test_min_samples_constant():

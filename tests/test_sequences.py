@@ -33,6 +33,7 @@ from wienerchaos.sequences import (
     raw_document,
     save_raw,
     vector_document,
+    write_atomic,
 )
 from wienerchaos.tensor import HilbertSpace, RawTensor, SymmetricTensor
 
@@ -377,6 +378,15 @@ def test_atomic_write_leaves_no_temp_file(tmp_path):
     path = os.path.join(tmp_path, "k.json")
     wc.save_kernel(SymmetricTensor(sp, 1, {(1,): 1.0}), path)
     assert os.listdir(tmp_path) == ["k.json"]
+
+
+def test_failed_atomic_write_removes_its_temp_file(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails after
+    # the temporary file was opened
+    path = os.path.join(tmp_path, "out.csv")
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic("abc\ud800", path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_seventeen_digit_floats_survive():
