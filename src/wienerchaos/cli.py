@@ -238,13 +238,15 @@ def cmd_simulate(args) -> int:
     columns = ("sample",) + tuple(f"F{i + 1}" for i in range(len(elements)))
     lines = _comment_header(config, args.seed)
     lines.append(",".join(columns))
+    # one template per row, and one string per block; "{:.17g}" of a Python
+    # float is format_float's text
+    template = ",".join(["{}"] + ["{:.17g}"] * len(elements))
     position = 0
     for block in batch.iter_blocks():
-        values = [evaluate(element, block) for element in elements]
-        for row in range(block.shape[0]):
-            position += 1
-            cells = [str(position)] + [format_float(column[row]) for column in values]
-            lines.append(",".join(cells))
+        values = [evaluate(element, block).tolist() for element in elements]
+        rows = enumerate(zip(*values), position + 1)
+        lines.append("\n".join(template.format(i, *row) for i, row in rows))
+        position += block.shape[0]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

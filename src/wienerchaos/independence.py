@@ -19,10 +19,11 @@ constant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -376,6 +377,30 @@ def _group_dictionaries(
     return per_group
 
 
+def _head_products(stacks: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """Left-to-right products of one row per stack, in itertools.product order."""
+    if len(stacks) == 1:
+        yield from stacks[0]
+        return
+    for prefix in _head_products(stacks[:-1]):
+        yield from prefix * stacks[-1]
+
+
+def _block_gaps(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Mean of the product minus product of the means, for every tuple of one block.
+
+    stacks[g] holds group g's dictionary values as (|dict_g|, block) rows.
+    Each tuple's product is formed left to right and every mean is a
+    pairwise sum along one contiguous row, with no BLAS call, so the bits
+    equal a tuple-by-tuple loop and do not depend on the thread count.
+    Only one head product times the last stack is held at a time.
+    """
+    *heads, last = stacks
+    mean_prod = np.concatenate([(head * last).mean(axis=1) for head in _head_products(heads)])
+    mean_factored = functools.reduce(np.multiply.outer, [stack.mean(axis=1) for stack in stacks])
+    return mean_prod - mean_factored.ravel()
+
+
 def empirical_dependence(
     vector: ChaosVector,
     functions: Sequence[TestFunction] | Sequence[Sequence[TestFunction]] | None = None,
@@ -413,42 +438,35 @@ def empirical_dependence(
         # the within-block mean of a product over a single sample equals the
         # product itself, making the gap statistic identically zero
         raise ValidationError("the gap statistic needs a block size of at least 2")
-    combos = list(itertools.product(*[range(len(d)) for d in dictionaries]))
-    stats: list[list[float]] = [[] for _ in combos]
-    for block in batch.iter_blocks():
-        if block.shape[0] != batch.block_size:
-            continue
-        group_values = []
-        for g, group in enumerate(vector.groups):
+    n_blocks = batch.n_full_blocks
+    # (tuples x blocks), C order: each tuple's block statistics are one
+    # contiguous row, so the reductions below sum them pairwise
+    stats = np.empty((n_tuples, n_blocks))
+    for b in range(n_blocks):
+        block = batch.block(b)
+        stacks = []
+        for group, dictionary in zip(vector.groups, dictionaries):
             element_values = [evaluate(element, block) for element in group]
             per_function = []
-            for function in dictionaries[g]:
+            for function in dictionary:
                 prod = function.fn(element_values[0])
                 for values in element_values[1:]:
                     prod = prod * function.fn(values)
                 per_function.append(prod)
-            group_values.append(per_function)
-        group_means = [[float(values.mean()) for values in per_function] for per_function in group_values]
-        for t, combo in enumerate(combos):
-            prod = group_values[0][combo[0]]
-            for g in range(1, len(combo)):
-                prod = prod * group_values[g][combo[g]]
-            mean_prod = float(prod.mean())
-            mean_factored = 1.0
-            for g, k in enumerate(combo):
-                mean_factored *= group_means[g][k]
-            stats[t].append(mean_prod - mean_factored)
-    n_blocks = len(stats[0])
+            stacks.append(np.stack(per_function))
+        stats[:, b] = _block_gaps(stacks)
+    gaps = np.abs(stats.mean(axis=1))
+    stderrs = stats.std(axis=1, ddof=1) / math.sqrt(n_blocks)
     q1 = vector.orders[0]
     deriv_last = [f.deriv_bound(1) * f.sup ** (vector.sizes[-1] - 1) for f in dictionaries[-1]]
     norms = [[f.norm(q1) ** vector.sizes[g] for f in dictionaries[g]] for g in range(vector.d - 1)]
+    combos = itertools.product(*[range(len(d)) for d in dictionaries])
     rows = []
     budgets = []
     best = None
-    for combo, block_stats in zip(combos, stats):
-        arr = np.asarray(block_stats)
+    for combo, gap, stderr in zip(combos, gaps.tolist(), stderrs.tolist()):
         labels = tuple(dictionaries[g][k].name for g, k in enumerate(combo))
-        row = (labels, abs(float(arr.mean())), float(arr.std(ddof=1) / math.sqrt(n_blocks)))
+        row = (labels, gap, stderr)
         rows.append(row)
         budgets.append((deriv_last[combo[-1]],) + tuple(norms[g][k] for g, k in enumerate(combo[:-1])))
         if best is None or row[1] > best[1]:

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, headers, round trips, deterministic output."""
 
 import ast
+import hashlib
 import json
 import math
 import os
@@ -238,6 +239,16 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_simulate_bytes_are_pinned(tmp_path, monkeypatch):
+    # the whole file, '#' header lines included; the digest is a fixed value
+    monkeypatch.chdir(tmp_path)
+    wc.save_vector(wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 2), theta=0.5), 8), "m.json")
+    assert main(["simulate", "m.json", "--samples", "3000", "--seed", "4", "--out", "s.csv"]) == 0
+    assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == (
+        "d677d75d896d00e3dc3dfdf518f98ff6df6eb04e0ad8c1e1658378546907e3dc"
+    )
 
 
 def test_console_script_help_documents_formats():

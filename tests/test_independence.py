@@ -10,7 +10,13 @@ which gives the dictionary-gap machinery a target with no Monte Carlo on
 the oracle side.
 """
 
+import hashlib
+import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,3 +357,103 @@ def test_vanishing_overlap_witness_at_large_n():
     report = wc.criterion_check(v)
     assert abs(report.witness_cov - 14 * delta**4) <= 1e-12 * 14 * delta**4
     assert abs(report.witness_norm - delta**2 / 2) <= 1e-12 * delta**2 / 2
+
+
+def rows_digest(result):
+    return hashlib.sha256((repr(result.rows) + repr(result.budgets)).encode()).hexdigest()
+
+
+FOUR_GROUPS = wc.FamilySpec("persistent_overlap", (2, 2, 2, 2), (1, 1, 1, 1), theta=0.5)
+
+
+def test_empirical_rows_are_pinned():
+    # every gap, stderr and label of the dictionary reduction is fixed by
+    # its summation order (left-to-right products, pairwise block means);
+    # these digests are fixed values
+    four = wc.empirical_dependence(wc.generate(FOUR_GROUPS, 1), samples=20_000, seed=8)
+    assert rows_digest(four) == "488195c05a1ab92882422763462df0cc4bbb858d826794273d0e03378b5034a0"
+    mixed = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2, 1), (2, 1, 1), theta=0.5), 8)
+    assert rows_digest(wc.empirical_dependence(mixed, samples=20_000, seed=8)) == (
+        "965962e8804ae009ecf224270d004f98cbb9662bb458e4ba6ffcaeb69c0eed63"
+    )
+
+
+def tuple_loop_rows(vector, dictionaries, samples, seed, block_size):
+    # reference: one tuple at a time, products left to right, one mean each
+    combos = list(itertools.product(*[range(len(d)) for d in dictionaries]))
+    stats = [[] for _ in combos]
+    batch = wc.montecarlo.sample(seed, vector.space.dimension, samples, block_size)
+    for b in range(batch.n_full_blocks):
+        block = batch.block(b)
+        values = []
+        for group, dictionary in zip(vector.groups, dictionaries):
+            elements = [wc.evaluate(element, block) for element in group]
+            per_function = []
+            for function in dictionary:
+                prod = function.fn(elements[0])
+                for x in elements[1:]:
+                    prod = prod * function.fn(x)
+                per_function.append(prod)
+            values.append(per_function)
+        for t, combo in enumerate(combos):
+            prod = values[0][combo[0]]
+            for g in range(1, len(combo)):
+                prod = prod * values[g][combo[g]]
+            factored = 1.0
+            for g, k in enumerate(combo):
+                factored *= float(values[g][k].mean())
+            stats[t].append(float(prod.mean()) - factored)
+    rows = []
+    for combo, block_stats in zip(combos, stats):
+        arr = np.asarray(block_stats)
+        labels = tuple(dictionaries[g][k].name for g, k in enumerate(combo))
+        rows.append((labels, abs(float(arr.mean())), float(arr.std(ddof=1) / math.sqrt(len(arr)))))
+    return tuple(rows)
+
+
+def test_reduction_matches_the_tuple_loop():
+    # unequal per-group dictionaries, two-element groups and a partial last
+    # block: the block pass keeps the loop's summation order bit for bit
+    v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2, 1), (2, 1, 2), theta=0.5), 4)
+    full = default_dictionary()
+    dictionaries = [full[:3], full[2:7], full[5:7]]
+    result = wc.empirical_dependence(v, dictionaries, samples=10_000, seed=6, block_size=300)
+    assert result.n_blocks == 33
+    assert repr(result.rows) == repr(tuple_loop_rows(v, dictionaries, 10_000, 6, 300))
+
+
+def test_empirical_rows_ignore_blas_threads():
+    # the reduction calls no BLAS routine, so the BLAS thread count, which
+    # is read once at import, cannot change a bit.  Blocks of 3906 samples
+    # are large enough for a threaded GEMM: a matrix-product reduction
+    # gives different digests under 1 and 2 threads here, but not at 20,000
+    # samples
+    code = (
+        "import hashlib, wienerchaos as wc\n"
+        "v = wc.generate(wc.FamilySpec('persistent_overlap', (2, 2, 2, 2), (1, 1, 1, 1), theta=0.5), 1)\n"
+        "r = wc.empirical_dependence(v, samples=250_000, seed=8)\n"
+        "print(hashlib.sha256((repr(r.rows) + repr(r.budgets)).encode()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[1] == digests[0]
+
+
+def test_dependence_memory_does_not_scale_with_tuples():
+    # 7**4 tuples over 64 blocks of B = 3906 samples: the reduction holds one
+    # head product times the last group's stack at a time, never all 7**3
+    # head products of a block (343 x B doubles, the Khatri-Rao product)
+    vector = wc.generate(FOUR_GROUPS, 1)
+    block = 250_000 // 64
+    tracemalloc.start()
+    try:
+        result = wc.empirical_dependence(vector, samples=250_000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.rows) == 7**4 and result.n_blocks == 64
+    assert peak < 343 * block * 8
