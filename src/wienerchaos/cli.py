@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Iterable, Iterator
 
 from . import __version__, montecarlo
 from .chaos import evaluate
@@ -98,9 +99,10 @@ def _with_meta(document: str, meta: dict) -> str:
     return "\n".join(lines)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write text, or its chunks in order, to stdout or atomically to out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines([text] if isinstance(text, str) else text)
     else:
         write_atomic(text, out)
 
@@ -235,19 +237,23 @@ def cmd_simulate(args) -> int:
     }
     batch = montecarlo.sample(args.seed, vector.space.dimension, args.samples)
     elements = vector.elements
+    for element in elements:
+        element.prepared()  # fill the lazy cache here, not racing on the workers
     columns = ("sample",) + tuple(f"F{i + 1}" for i in range(len(elements)))
-    lines = _comment_header(config, args.seed)
-    lines.append(",".join(columns))
+    header = "\n".join(_comment_header(config, args.seed) + [",".join(columns)]) + "\n"
     # one template per row, and one string per block; "{:.17g}" of a Python
     # float is format_float's text
-    template = ",".join(["{}"] + ["{:.17g}"] * len(elements))
-    position = 0
-    for block in batch.iter_blocks():
-        values = [evaluate(element, block).tolist() for element in elements]
-        rows = enumerate(zip(*values), position + 1)
-        lines.append("\n".join(template.format(i, *row) for i, row in rows))
-        position += block.shape[0]
-    _emit("\n".join(lines) + "\n", args.out)
+    template = ",".join(["{}"] + ["{:.17g}"] * len(elements)) + "\n"
+
+    def chunks() -> Iterator[str]:
+        yield header
+        position = 0
+        for values in batch.map_blocks(lambda block: [evaluate(e, block).tolist() for e in elements]):
+            rows = enumerate(zip(*values), position + 1)
+            yield "".join(template.format(i, *row) for i, row in rows)
+            position += len(values[0])
+
+    _emit(chunks(), args.out)
     return 0
 
 

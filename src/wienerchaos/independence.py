@@ -439,11 +439,8 @@ def empirical_dependence(
         # product itself, making the gap statistic identically zero
         raise ValidationError("the gap statistic needs a block size of at least 2")
     n_blocks = batch.n_full_blocks
-    # (tuples x blocks), C order: each tuple's block statistics are one
-    # contiguous row, so the reductions below sum them pairwise
-    stats = np.empty((n_tuples, n_blocks))
-    for b in range(n_blocks):
-        block = batch.block(b)
+
+    def block_gaps(block: np.ndarray) -> np.ndarray:
         stacks = []
         for group, dictionary in zip(vector.groups, dictionaries):
             element_values = [evaluate(element, block) for element in group]
@@ -454,7 +451,15 @@ def empirical_dependence(
                     prod = prod * function.fn(values)
                 per_function.append(prod)
             stacks.append(np.stack(per_function))
-        stats[:, b] = _block_gaps(stacks)
+        return _block_gaps(stacks)
+
+    for element in vector.elements:
+        element.prepared()  # fill the lazy cache here, not racing on the workers
+    # (tuples x blocks), C order: each tuple's block statistics are one
+    # contiguous row, so the reductions below sum them pairwise
+    stats = np.empty((n_tuples, n_blocks))
+    for b, column in enumerate(batch.map_blocks(block_gaps, stop=n_blocks)):
+        stats[:, b] = column
     gaps = np.abs(stats.mean(axis=1))
     stderrs = stats.std(axis=1, ddof=1) / math.sqrt(n_blocks)
     q1 = vector.orders[0]

@@ -7,13 +7,21 @@ Uniforms are mapped to normals through the inverse CDF; rejection-style
 generators are avoided because they consume a variable number of uniforms
 per normal.  Every serialized output carries GENERATOR_TAG so results are
 only ever compared within one generator version.
+
+SampleBatch.map_blocks computes a per-block function on a small thread
+pool and yields the results in block order.  Each block's work is the same
+whatever thread runs it, and callers reduce the results in block order, so
+no output depends on the number of workers; there is no setting for it.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 from scipy.special import ndtri
@@ -32,11 +40,26 @@ _MATERIALIZE_LIMIT = 1 << 26
 
 _HALF_ULP = 2.0**-54
 
+_T = TypeVar("_T")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity sets on this platform
+        return os.cpu_count() or 1
+
+
+# Threads behind map_blocks: the CPUs this process may run on, at most 4,
+# since each worker holds one block and its intermediates at a time.
+_WORKERS = min(_usable_cpus(), 4)
+
 
 def _block_normals(seed: int, block: int, size: int, dimension: int) -> np.ndarray:
     bitgen = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
     uniforms = np.random.Generator(bitgen).random(size=(size, dimension), dtype=np.float64)
-    return ndtri(uniforms + _HALF_ULP)
+    uniforms += _HALF_ULP
+    return ndtri(uniforms, out=uniforms)
 
 
 @dataclass(frozen=True)
@@ -77,9 +100,37 @@ class SampleBatch:
         size = min(self.block_size, self.count - index * self.block_size)
         return _block_normals(self.seed, index, size, self.dimension)
 
+    def map_blocks(self, fn: Callable[[np.ndarray], _T], stop: int | None = None) -> Iterator[_T]:
+        """Yield fn(self.block(i)) for i in range(stop), strictly in block order.
+
+        stop defaults to n_blocks.  Blocks are drawn and mapped on a small
+        thread pool with at most workers + 1 blocks in flight; with one
+        worker or one block everything runs on the calling thread.  An
+        exception from fn at block k is raised after blocks 0..k-1 have
+        been yielded, and closing the iterator early stops the pool.
+        """
+        stop = self.n_blocks if stop is None else stop
+        if not isinstance(stop, int) or not 0 <= stop <= self.n_blocks:
+            raise ValidationError(f"stop must be an integer in 0..{self.n_blocks}, got {stop!r}")
+        workers = min(_WORKERS, stop)
+        if workers <= 1:
+            for index in range(stop):
+                yield fn(self.block(index))
+            return
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            pending = collections.deque()
+            for index in range(stop):
+                pending.append(pool.submit(lambda i: fn(self.block(i)), index))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+
     def iter_blocks(self) -> Iterator[np.ndarray]:
-        for index in range(self.n_blocks):
-            yield self.block(index)
+        return self.map_blocks(lambda block: block)
 
     def materialize(self) -> np.ndarray:
         """Full (count, dimension) matrix; guarded against large batches."""

@@ -28,7 +28,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .chaos import STANDARDIZED_TOL, ChaosElement, variance
 from .exceptions import DegenerateInputError, InvalidKernelError, ValidationError
@@ -160,12 +160,16 @@ def kernel_document(tensor: SymmetricTensor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_atomic(text: str, path: str) -> None:
-    """Write text to path via a temporary file and a rename; a failed write leaves no partial file."""
+def write_atomic(text: str | Iterable[str], path: str) -> None:
+    """Write text, or its chunks in order, to path via a temporary file and a rename.
+
+    A failed write, including an exception raised while producing a chunk,
+    leaves neither a partial file nor the temporary file behind.
+    """
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

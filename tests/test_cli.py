@@ -2,17 +2,21 @@
 
 import ast
 import hashlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import wienerchaos as wc
+from wienerchaos import cli, montecarlo
 from wienerchaos.cli import main
+from wienerchaos.exceptions import ValidationError
 from wienerchaos.sequences import load_raw
 from wienerchaos.tensor import HilbertSpace, SymmetricTensor
 
@@ -269,3 +273,46 @@ def test_usage_error_exit_code():
         [sys.executable, "-m", "wienerchaos.cli", "frobnicate"], capture_output=True, text=True
     )
     assert result.returncode == 2
+
+
+def test_sweep_and_simulate_bytes_ignore_the_worker_count(workdir, monkeypatch):
+    sweep = ["sweep", "--family", "vanishing_overlap", "--orders", "2,2", "--sizes", "1,1",
+             "--n", "32", "--samples", "20000", "--seed", "3"]  # fmt: skip
+    simulate = ["simulate", "persistent.json", "--samples", "3000", "--seed", "4"]
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        assert main(sweep + ["--out", f"sweep{workers}.csv"]) == 0
+        assert main(simulate + ["--out", f"simulate{workers}.csv"]) == 0
+        outputs.append([(workdir / f"{name}{workers}.csv").read_bytes() for name in ("sweep", "simulate")])
+    assert outputs[0] == outputs[1]
+
+
+def test_simulate_failing_midway_leaves_no_file(workdir, monkeypatch):
+    # the CSV is written block by block into the temporary file; a failure
+    # after the first chunks must still leave neither file behind
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    calls = itertools.count()
+    real = cli.evaluate
+
+    def evaluate(element, block):
+        if next(calls) >= 10:
+            raise ValidationError("evaluation failed")
+        return real(element, block)
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    assert main(["simulate", "persistent.json", "--samples", "3000", "--out", "s.csv"]) == 2
+    assert next(calls) > 10
+    assert not os.path.exists("s.csv")
+    assert not os.path.exists("s.csv.tmp")
+
+
+def test_check_without_samples_starts_no_thread(workdir, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert main(["check", "persistent.json", "--samples", "0", "--out", "c.json"]) == 1
+    assert os.path.exists("c.json")

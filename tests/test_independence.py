@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import wienerchaos as wc
+from wienerchaos import montecarlo
 from wienerchaos.exceptions import DegenerateInputError, ResourceLimitError, ValidationError
 from wienerchaos.independence import (
     MAX_TUPLES,
@@ -376,6 +377,22 @@ def test_empirical_rows_are_pinned():
     assert rows_digest(wc.empirical_dependence(mixed, samples=20_000, seed=8)) == (
         "965962e8804ae009ecf224270d004f98cbb9662bb458e4ba6ffcaeb69c0eed63"
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_empirical_rows_ignore_the_worker_count(monkeypatch, workers):
+    # blocks are mapped on any thread and written to the statistics array in
+    # block order, so the pinned digest holds at every worker count; a short
+    # switch interval interleaves the workers (more of them than cores here)
+    # as finely as possible
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        four = wc.empirical_dependence(wc.generate(FOUR_GROUPS, 1), samples=20_000, seed=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows_digest(four) == "488195c05a1ab92882422763462df0cc4bbb858d826794273d0e03378b5034a0"
 
 
 def tuple_loop_rows(vector, dictionaries, samples, seed, block_size):

@@ -6,11 +6,13 @@ different generator and needs a new tag.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import wienerchaos as wc
+from wienerchaos import montecarlo
 from wienerchaos.exceptions import ResourceLimitError, ValidationError
 from wienerchaos.montecarlo import (
     GENERATOR_TAG,
@@ -156,3 +158,64 @@ def test_estimate_rejects_bad_fn_shape():
     batch = sample(seed=0, dimension=2, count=10_000)
     with pytest.raises(ValidationError):
         estimate(lambda x: x, batch)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimate_ignores_the_worker_count(monkeypatch, workers):
+    # blocks may be drawn on any thread; the reduction is in block order
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    batch = sample(seed=3, dimension=5, count=100_000)
+    got = estimate(lambda x: x[:, 0] ** 2 * x[:, 1], batch)
+    assert repr(got) == "(-0.003850433179519235, 0.004854489053627944)"
+
+
+def test_map_blocks_yields_in_block_order_with_bounded_flight(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    batch = sample(seed=4, dimension=3, count=2000)
+    started = []
+
+    def first_entry(block):
+        started.append(float(block[0, 0]))
+        return float(block[0, 0])
+
+    expected = [float(batch.block(i)[0, 0]) for i in range(batch.n_blocks)]
+    for k, value in enumerate(batch.map_blocks(first_entry)):
+        assert value == expected[k]
+        # at most workers + 1 blocks are in flight when block k is handed out
+        assert len(started) <= k + 3
+    assert sorted(started) == sorted(expected)
+    assert list(batch.map_blocks(first_entry, stop=5)) == expected[:5]
+    with pytest.raises(ValidationError):
+        list(batch.map_blocks(first_entry, stop=batch.n_blocks + 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_blocks_reraises_after_earlier_blocks(monkeypatch, workers):
+    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+    batch = sample(seed=5, dimension=2, count=640, block_size=10)
+    baseline = threading.active_count()
+    failing = float(batch.block(7)[0, 0])
+
+    def fn(block):
+        if float(block[0, 0]) == failing:
+            raise RuntimeError("block 7")
+        return float(block[0, 0])
+
+    got = []
+    with pytest.raises(RuntimeError, match="block 7"):
+        for value in batch.map_blocks(fn):
+            got.append(value)
+    assert got == [float(batch.block(i)[0, 0]) for i in range(7)]
+    assert threading.active_count() == baseline
+
+
+def test_closing_map_blocks_early_stops_its_threads(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    batch = sample(seed=6, dimension=4, count=64_000)
+    baseline = threading.active_count()
+    blocks = batch.map_blocks(lambda block: block.sum())
+    next(blocks)
+    next(blocks)
+    assert threading.active_count() > baseline
+    blocks.close()
+    assert threading.active_count() == baseline
