@@ -65,7 +65,9 @@ class ChaosElement:
 
         For stored entry e, coeffs[e] is q! times its kernel value, and slots
         offsets[e]:offsets[e+1] of (coords, counts) hold its 0-based
-        coordinates and their occupation counts.
+        coordinates and their occupation counts.  The arrays are cached in
+        one assignment; threads that call this at once may each build them,
+        equal in every entry, and one copy is kept.
         """
         if self._prep is None:
             coords: list[int] = []

@@ -237,8 +237,6 @@ def cmd_simulate(args) -> int:
     }
     batch = montecarlo.sample(args.seed, vector.space.dimension, args.samples)
     elements = vector.elements
-    for element in elements:
-        element.prepared()  # fill the lazy cache here, not racing on the workers
     columns = ("sample",) + tuple(f"F{i + 1}" for i in range(len(elements)))
     header = "\n".join(_comment_header(config, args.seed) + [",".join(columns)]) + "\n"
     # one template per row, and one string per block; "{:.17g}" of a Python

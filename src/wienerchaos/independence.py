@@ -105,7 +105,9 @@ class TestFunction:
     ----------
     name : str
     fn : callable
-        Vectorized map from ndarray to ndarray.
+        Vectorized map from ndarray to ndarray.  empirical_dependence calls
+        it concurrently from worker threads, so it must be thread-safe and
+        pure: its result depends on its argument alone.
     sup : float
         Certified bound on |fn|.
     deriv_bound : callable
@@ -417,6 +419,11 @@ def empirical_dependence(
     also carries each tuple's budget factors, so EmpiricalDependence.ratio
     needs no second sampling pass.
 
+    Blocks are evaluated, and the test functions applied, on the worker
+    threads of SampleBatch.map_blocks, so each TestFunction.fn must be
+    thread-safe and pure.  The results are reduced in block order, and no
+    output depends on the number of workers.
+
     Requires samples >= MIN_SAMPLES; estimates below that floor are noise
     and are rejected rather than returned.  More than MAX_TUPLES tuples
     raise ResourceLimitError before any sample is drawn.
@@ -453,8 +460,6 @@ def empirical_dependence(
             stacks.append(np.stack(per_function))
         return _block_gaps(stacks)
 
-    for element in vector.elements:
-        element.prepared()  # fill the lazy cache here, not racing on the workers
     # (tuples x blocks), C order: each tuple's block statistics are one
     # contiguous row, so the reductions below sum them pairwise
     stats = np.empty((n_tuples, n_blocks))

@@ -50,8 +50,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads behind map_blocks: the CPUs this process may run on, at most 4,
-# since each worker holds one block and its intermediates at a time.
+# Threads behind map_blocks: the CPUs this process may run on, at most 4.
+# The cap bounds memory: a block's normals dominate what a worker holds
+# (6.4 MB at N = 257 in blocks of 3,125; 64 MB at N = 513 in blocks of
+# 15,625, the 10^6-sample case), and workers + 1 blocks are in flight.
+# Speed has been measured on 1 and 2 CPUs only, never with the cap applied.
 _WORKERS = min(_usable_cpus(), 4)
 
 
@@ -104,19 +107,15 @@ class SampleBatch:
         """Yield fn(self.block(i)) for i in range(stop), strictly in block order.
 
         stop defaults to n_blocks.  Blocks are drawn and mapped on a small
-        thread pool with at most workers + 1 blocks in flight; with one
-        worker or one block everything runs on the calling thread.  An
-        exception from fn at block k is raised after blocks 0..k-1 have
+        thread pool with at most workers + 1 blocks in flight, so fn is
+        called concurrently from worker threads and must be thread-safe.
+        An exception from fn at block k is raised after blocks 0..k-1 have
         been yielded, and closing the iterator early stops the pool.
         """
         stop = self.n_blocks if stop is None else stop
         if not isinstance(stop, int) or not 0 <= stop <= self.n_blocks:
             raise ValidationError(f"stop must be an integer in 0..{self.n_blocks}, got {stop!r}")
-        workers = min(_WORKERS, stop)
-        if workers <= 1:
-            for index in range(stop):
-                yield fn(self.block(index))
-            return
+        workers = max(1, min(_WORKERS, stop))
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             pending = collections.deque()
