@@ -28,12 +28,12 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .chaos import STANDARDIZED_TOL, ChaosElement, variance
 from .exceptions import DegenerateInputError, InvalidKernelError, ValidationError
 from .independence import ChaosVector
-from .tensor import HilbertSpace, RawTensor, SymmetricTensor
+from .tensor import HilbertSpace, RawTensor, SymmetricTensor, _check_index
 
 FAMILIES = ("disjoint", "vanishing_overlap", "persistent_overlap", "mixed_orders")
 
@@ -97,6 +97,8 @@ def _blocked_vector(spec: FamilySpec, n: int, delta: float) -> ChaosVector:
             entries = {(c,) * q: body for c in range(start, start + width)}
             if tip != 0.0:
                 entries[(shared,) * q] = tip
+            if not entries:
+                raise DegenerateInputError("persistent element has no mass; theta produced a zero kernel")
             elements.append(ChaosElement(SymmetricTensor(space, q, entries)))
         groups.append(elements)
     return ChaosVector(groups)
@@ -143,21 +145,27 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# The index sides of each entry table, with the document key of each side's order.
+_SIDES = {SymmetricTensor: {"index": "order"}, RawTensor: {"left": "left_order", "right": "right_order"}}
+
+
+def _table_document(kind: type, space: HilbertSpace, orders: list[int], entries) -> str:
+    """Canonical JSON text of a kernel or raw entry table (entries in order, 17-digit floats)."""
+    sides = _SIDES[kind]
+    lines = ["{", f'  "dimension": {space.dimension},']
+    lines += [f'  "{key}": {order},' for key, order in zip(sides.values(), orders)]
+    rows = []
+    for key, value in entries:
+        indices = [key] if len(sides) == 1 else key
+        cells = "".join(f'"{name}": [{", ".join(map(str, index))}], ' for name, index in zip(sides, indices))
+        rows.append(f'    {{{cells}"value": {format_float(value)}}}')
+    lines += ['  "entries": [', ",\n".join(rows), "  ]"] if rows else ['  "entries": []']
+    return "\n".join([*lines, "}"]) + "\n"
+
+
 def kernel_document(tensor: SymmetricTensor) -> str:
     """Canonical JSON text for one kernel (sorted entries, 17-digit floats)."""
-    lines = ["{", f'  "dimension": {tensor.space.dimension},', f'  "order": {tensor.order},']
-    entry_lines = []
-    for index, value in tensor.items():
-        index_text = ", ".join(str(i) for i in index)
-        entry_lines.append(f'    {{"index": [{index_text}], "value": {format_float(value)}}}')
-    if entry_lines:
-        lines.append('  "entries": [')
-        lines.append(",\n".join(entry_lines))
-        lines.append("  ]")
-    else:
-        lines.append('  "entries": []')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _table_document(SymmetricTensor, tensor.space, [tensor.order], tensor.items())
 
 
 def write_atomic(text: str | Iterable[str], path: str) -> None:
@@ -187,129 +195,80 @@ def _read_json(path: str):
         raise InvalidKernelError(f"{path}: not valid JSON ({error})") from error
 
 
-def _checked_index(entry_label: str, name: str, side, order: int, dimension: int) -> tuple[int, ...]:
-    if not isinstance(side, list) or any(not isinstance(i, int) or isinstance(i, bool) for i in side):
-        raise InvalidKernelError(f"{entry_label}: {name} must be a list of integers, got {side!r}")
-    if len(side) != order:
-        raise InvalidKernelError(f"{entry_label}: {name} {side} has length {len(side)}, expected {order}")
-    if any(i < 1 or i > dimension for i in side):
-        raise InvalidKernelError(f"{entry_label}: {name} {side} leaves the range 1..{dimension}")
-    if any(a > b for a, b in zip(side, side[1:])):
-        raise InvalidKernelError(f"{entry_label}: {name} {side} is not sorted ascending")
-    return tuple(side)
+def _parse_table(document, where: str, kind: type):
+    """Check a kernel (kind SymmetricTensor) or raw (RawTensor) document and build it.
+
+    Each index goes through the tensor module's index check once, labelled with
+    its entry number; the tensor is then built without checking it again.
+    """
+    sides = _SIDES[kind]
+    if not isinstance(document, Mapping):
+        raise InvalidKernelError(f"{where}: document must be a JSON object")
+    for key in ("dimension", *sides.values(), "entries"):
+        if key not in document:
+            raise InvalidKernelError(f"{where}: missing required key {key!r}")
+    dimension = document["dimension"]
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
+        raise InvalidKernelError(f"{where}: dimension must be a positive integer, got {dimension!r}")
+    orders = [document[key] for key in sides.values()]
+    for key, order in zip(sides.values(), orders):
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+            raise InvalidKernelError(f"{where}: {key} must be a non-negative integer, got {order!r}")
+    raw_entries = document["entries"]
+    if not isinstance(raw_entries, list):
+        raise InvalidKernelError(f"{where}: entries must be a list")
+    fields = [*sides, "value"]
+    shape = ", ".join(f'"{name}"' for name in fields[:-1]) + f' and "{fields[-1]}"'
+    entries: dict = {}
+    for position, entry in enumerate(raw_entries):
+        label = f"{where}: entry {position + 1}"
+        if not isinstance(entry, Mapping) or set(entry) != set(fields):
+            raise InvalidKernelError(f"{label} must be an object with exactly {shape}")
+        key = []
+        for name, order in zip(sides, orders):
+            side = entry[name]
+            if not isinstance(side, list) or any(not isinstance(i, int) or isinstance(i, bool) for i in side):
+                raise InvalidKernelError(f"{label}: {name} must be a list of integers, got {side!r}")
+            try:
+                _check_index(side, order, dimension, name)
+            except ValidationError as error:
+                raise InvalidKernelError(f"{label}: {error}") from None
+            key.append(tuple(side))
+        key = key[0] if len(key) == 1 else tuple(key)
+        value = entry["value"]
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+            raise InvalidKernelError(f"{label}: value {value!r} is not a finite number")
+        if key in entries:
+            raise InvalidKernelError(f"{label}: duplicate index {', '.join(str(entry[name]) for name in sides)}")
+        entries[key] = float(value)
+    return kind._of(HilbertSpace(dimension), *orders, entries)
 
 
 def save_kernel(tensor: SymmetricTensor, path: str) -> None:
     write_atomic(kernel_document(tensor), path)
 
 
-def _parse_kernel(document: Mapping, where: str) -> SymmetricTensor:
-    if not isinstance(document, Mapping):
-        raise InvalidKernelError(f"{where}: kernel document must be a JSON object")
-    for key in ("dimension", "order", "entries"):
-        if key not in document:
-            raise InvalidKernelError(f"{where}: missing required key {key!r}")
-    dimension = document["dimension"]
-    order = document["order"]
-    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        raise InvalidKernelError(f"{where}: dimension must be a positive integer, got {dimension!r}")
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise InvalidKernelError(f"{where}: order must be a non-negative integer, got {order!r}")
-    raw_entries = document["entries"]
-    if not isinstance(raw_entries, list):
-        raise InvalidKernelError(f"{where}: entries must be a list")
-    space = HilbertSpace(dimension)
-    entries: dict[tuple[int, ...], float] = {}
-    for position, entry in enumerate(raw_entries):
-        label = f"{where}: entry {position + 1}"
-        if not isinstance(entry, Mapping) or set(entry) != {"index", "value"}:
-            raise InvalidKernelError(f'{label} must be an object with exactly "index" and "value"')
-        key = _checked_index(label, "index", entry["index"], order, dimension)
-        value = entry["value"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-            raise InvalidKernelError(f"{label}: value {value!r} is not a finite number")
-        if key in entries:
-            raise InvalidKernelError(f"{label}: duplicate index {entry['index']}")
-        entries[key] = float(value)
-    return SymmetricTensor(space, order, entries)
-
-
 def raw_document(raw: RawTensor) -> str:
     """Canonical JSON text for an unsymmetrized contraction result."""
-    lines = [
-        "{",
-        f'  "dimension": {raw.space.dimension},',
-        f'  "left_order": {raw.left_order},',
-        f'  "right_order": {raw.right_order},',
-    ]
-    entry_lines = []
-    for (left, right), value in sorted(raw.entries.items()):
-        left_text = ", ".join(str(i) for i in left)
-        right_text = ", ".join(str(i) for i in right)
-        entry_lines.append(
-            f'    {{"left": [{left_text}], "right": [{right_text}], "value": {format_float(value)}}}'
-        )
-    if entry_lines:
-        lines.append('  "entries": [')
-        lines.append(",\n".join(entry_lines))
-        lines.append("  ]")
-    else:
-        lines.append('  "entries": []')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _table_document(RawTensor, raw.space, [raw.left_order, raw.right_order], raw.entries.items())
 
 
 def save_raw(raw: RawTensor, path: str) -> None:
     write_atomic(raw_document(raw), path)
 
 
-def _parse_raw(document: Mapping, where: str) -> RawTensor:
-    if not isinstance(document, Mapping):
-        raise InvalidKernelError(f"{where}: raw document must be a JSON object")
-    for key in ("dimension", "left_order", "right_order", "entries"):
-        if key not in document:
-            raise InvalidKernelError(f"{where}: missing required key {key!r}")
-    dimension = document["dimension"]
-    left_order = document["left_order"]
-    right_order = document["right_order"]
-    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        raise InvalidKernelError(f"{where}: dimension must be a positive integer, got {dimension!r}")
-    for name, order in (("left_order", left_order), ("right_order", right_order)):
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise InvalidKernelError(f"{where}: {name} must be a non-negative integer, got {order!r}")
-    raw_entries = document["entries"]
-    if not isinstance(raw_entries, list):
-        raise InvalidKernelError(f"{where}: entries must be a list")
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = {}
-    for position, entry in enumerate(raw_entries):
-        label = f"{where}: entry {position + 1}"
-        if not isinstance(entry, Mapping) or set(entry) != {"left", "right", "value"}:
-            raise InvalidKernelError(
-                f'{label} must be an object with exactly "left", "right" and "value"'
-            )
-        left = _checked_index(label, "left", entry["left"], left_order, dimension)
-        right = _checked_index(label, "right", entry["right"], right_order, dimension)
-        value = entry["value"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-            raise InvalidKernelError(f"{label}: value {value!r} is not a finite number")
-        if (left, right) in entries:
-            raise InvalidKernelError(f"{label}: duplicate index pair {entry['left']}, {entry['right']}")
-        entries[(left, right)] = float(value)
-    return RawTensor(HilbertSpace(dimension), left_order, right_order, entries)
-
-
 def load_raw(source: str | Mapping) -> RawTensor:
     """Read an unsymmetrized contraction from a JSON file path or document."""
     if isinstance(source, Mapping):
-        return _parse_raw(source, "raw tensor")
-    return _parse_raw(_read_json(source), str(source))
+        return _parse_table(source, "raw tensor", RawTensor)
+    return _parse_table(_read_json(source), str(source), RawTensor)
 
 
 def load_kernel(source: str | Mapping) -> SymmetricTensor:
     """Read a kernel from a JSON file path or an already-parsed document."""
     if isinstance(source, Mapping):
-        return _parse_kernel(source, "kernel")
-    return _parse_kernel(_read_json(source), str(source))
+        return _parse_table(source, "kernel", SymmetricTensor)
+    return _parse_table(_read_json(source), str(source), SymmetricTensor)
 
 
 def vector_document(vector: ChaosVector) -> str:
@@ -378,7 +337,7 @@ def load_vector(source: str | Mapping) -> ChaosVector:
             if isinstance(element_doc, str):
                 kernel = load_kernel(os.path.join(base_dir, element_doc))
             elif isinstance(element_doc, Mapping):
-                kernel = _parse_kernel(element_doc, spot)
+                kernel = _parse_table(element_doc, spot, SymmetricTensor)
             else:
                 raise InvalidKernelError(f"{spot}: element must be a path or an inline kernel")
             if kernel.order != order:

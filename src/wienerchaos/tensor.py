@@ -7,12 +7,18 @@ stored entries enumerate orbits, and the orbit size q!/prod(a_i!) (a_i the
 occupation counts) enters every norm and inner-product computation.
 Operations drop exact zeros only; a coefficient is never truncated for being
 small, so results scale homogeneously with their inputs.
+
+Indices are checked once, where entries enter: by _check_index in the public
+constructors, in symmetrize on a mapping, and in the loaders.  Results built
+inside the package skip it; every tensor still gets sorted keys, finite
+values and no exact zeros.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -35,7 +41,7 @@ class HilbertSpace:
     dimension: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+        if not isinstance(self.dimension, int) or isinstance(self.dimension, bool) or self.dimension < 1:
             raise ValidationError(f"space dimension must be a positive integer, got {self.dimension!r}")
 
 
@@ -60,15 +66,44 @@ def multiplicity(index: Index) -> int:
     return count
 
 
-def _validate_index(index, order: int, dimension: int) -> Index:
-    if not isinstance(index, tuple) or len(index) != order:
-        raise ValidationError(f"index {index!r} must be a tuple of length {order}")
-    for i in index:
-        if not isinstance(i, int) or not 1 <= i <= dimension:
-            raise ValidationError(f"index {index!r} has coordinate {i!r} outside 1..{dimension}")
-    if any(index[k] > index[k + 1] for k in range(len(index) - 1)):
-        raise ValidationError(f"index {index!r} is not sorted ascending")
-    return index
+def _check_order(*orders) -> None:
+    for order in orders:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+            raise ValidationError(f"order must be a non-negative integer, got {order!r}")
+        if order > MAX_ORDER:
+            raise ResourceLimitError(f"order {order} exceeds the exact-arithmetic limit {MAX_ORDER}")
+
+
+def _check_index(index, order: int, dimension: int, name: str = "index", ascending: bool = True) -> None:
+    """Check one index from outside the package: `order` ints (not bools) in
+    1..dimension, ascending unless `ascending` is False.  Loaders pass the JSON
+    list as read, so that their messages show the index as the file wrote it.
+    """
+    if not isinstance(index, (tuple, list)) or any(not isinstance(i, int) or isinstance(i, bool) for i in index):
+        raise ValidationError(f"{name} {index!r} must be a tuple of integers")
+    if len(index) != order:
+        raise ValidationError(f"{name} {index!r} has length {len(index)}, expected {order}")
+    if any(not 1 <= i <= dimension for i in index):
+        raise ValidationError(f"{name} {index!r} leaves the range 1..{dimension}")
+    if ascending and any(a > b for a, b in zip(index, index[1:])):
+        raise ValidationError(f"{name} {index!r} is not sorted ascending")
+
+
+def _check_value(key, value) -> None:
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"entry {key!r} has value {value!r}, not a real number")
+
+
+def _cleaned(entries: Mapping) -> dict:
+    """Entries in sorted key order as finite floats, exact zeros dropped."""
+    clean = {}
+    for key in sorted(entries):
+        value = float(entries[key])
+        if not math.isfinite(value):
+            raise ValidationError(f"entry {key!r} has non-finite value {value!r}")
+        if value != 0.0:
+            clean[key] = value
+    return clean
 
 
 class SymmetricTensor:
@@ -82,27 +117,26 @@ class SymmetricTensor:
         single key ().
     entries : mapping
         Sorted multi-index (1-based tuple of length q) -> coefficient.
-        Exact zeros are dropped; unsorted or out-of-range indices raise.
+        Exact zeros are dropped; unsorted or out-of-range indices and
+        values that are not finite real numbers raise ValidationError.
     """
 
     __slots__ = ("space", "order", "entries")
 
     def __init__(self, space: HilbertSpace, order: int, entries: Mapping[Index, float]):
-        if not isinstance(order, int) or order < 0:
-            raise ValidationError(f"order must be a non-negative integer, got {order!r}")
-        if order > MAX_ORDER:
-            raise ResourceLimitError(f"order {order} exceeds the exact-arithmetic limit {MAX_ORDER}")
-        clean: dict[Index, float] = {}
-        for index in sorted(entries):
-            _validate_index(index, order, space.dimension)
-            value = float(entries[index])
-            if not math.isfinite(value):
-                raise ValidationError(f"entry {index!r} has non-finite value {value!r}")
-            if value != 0.0:
-                clean[index] = value
-        self.space = space
-        self.order = order
-        self.entries = clean
+        _check_order(order)
+        for index, value in entries.items():
+            _check_index(index, order, space.dimension)
+            _check_value(index, value)
+        self.space, self.order, self.entries = space, order, _cleaned(entries)
+
+    @classmethod
+    def _of(cls, space: HilbertSpace, order: int, entries: Mapping) -> "SymmetricTensor":
+        """A result built from valid indices: the indices are not checked again."""
+        _check_order(order)
+        tensor = cls.__new__(cls)
+        tensor.space, tensor.order, tensor.entries = space, order, _cleaned(entries)
+        return tensor
 
     def items(self) -> Iterator[tuple[Index, float]]:
         """Entries in lexicographic index order."""
@@ -123,7 +157,7 @@ class SymmetricTensor:
         return f"SymmetricTensor(N={self.space.dimension}, order={self.order}, nnz={len(self.entries)})"
 
     def scaled(self, factor: float) -> "SymmetricTensor":
-        return SymmetricTensor(self.space, self.order, {k: factor * v for k, v in self.entries.items()})
+        return SymmetricTensor._of(self.space, self.order, {k: factor * v for k, v in self.entries.items()})
 
     def __add__(self, other: "SymmetricTensor") -> "SymmetricTensor":
         if self.space != other.space or self.order != other.order:
@@ -131,7 +165,7 @@ class SymmetricTensor:
         out = dict(self.entries)
         for k, v in other.entries.items():
             out[k] = out.get(k, 0.0) + v
-        return SymmetricTensor(self.space, self.order, out)
+        return SymmetricTensor._of(self.space, self.order, out)
 
     def norm(self) -> float:
         return math.sqrt(inner(self, self))
@@ -153,25 +187,33 @@ class RawTensor:
 
     The value at a full multi-index depends only on the multiset of its
     first left_order coordinates and the multiset of the rest, so entries
-    are keyed by the pair (sorted left index, sorted right index).
+    are keyed by the pair (sorted left index, sorted right index).  Each
+    side follows the SymmetricTensor rules for its order, index and values.
     """
 
     __slots__ = ("space", "left_order", "right_order", "entries")
 
     def __init__(
-        self,
-        space: HilbertSpace,
-        left_order: int,
-        right_order: int,
-        entries: Mapping[tuple[Index, Index], float],
+        self, space: HilbertSpace, left_order: int, right_order: int, entries: Mapping[tuple[Index, Index], float]
     ):
-        for left, right in entries:
-            _validate_index(left, left_order, space.dimension)
-            _validate_index(right, right_order, space.dimension)
-        self.space = space
-        self.left_order = left_order
-        self.right_order = right_order
-        self.entries = {k: float(entries[k]) for k in sorted(entries) if entries[k] != 0.0}
+        _check_order(left_order, right_order)
+        for key, value in entries.items():
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise ValidationError(f"raw key {key!r} must be a (left, right) pair of indices")
+            _check_index(key[0], left_order, space.dimension, "left index")
+            _check_index(key[1], right_order, space.dimension, "right index")
+            _check_value(key, value)
+        self.space, self.left_order, self.right_order = space, left_order, right_order
+        self.entries = _cleaned(entries)
+
+    @classmethod
+    def _of(cls, space: HilbertSpace, left_order: int, right_order: int, entries: Mapping) -> "RawTensor":
+        """A result built from valid index pairs: the indices are not checked again."""
+        _check_order(left_order, right_order)
+        raw = cls.__new__(cls)
+        raw.space, raw.left_order, raw.right_order = space, left_order, right_order
+        raw.entries = _cleaned(entries)
+        return raw
 
     @property
     def order(self) -> int:
@@ -199,12 +241,11 @@ class RawTensor:
         return math.sqrt(total)
 
     def symmetrized(self) -> SymmetricTensor:
-        acc: dict[Index, float] = {}
-        for (left, right), value in self.entries.items():
-            key = tuple(sorted(left + right))
-            acc[key] = acc.get(key, 0.0) + multiplicity(left) * multiplicity(right) * value
-        out = {key: acc[key] / multiplicity(key) for key in acc}
-        return SymmetricTensor(self.space, self.order, out)
+        terms = (
+            (left + right, multiplicity(left) * multiplicity(right) * value)
+            for (left, right), value in self.entries.items()
+        )
+        return _orbit_average(self.space, self.order, terms)
 
     def to_dense(self) -> np.ndarray:
         n = self.space.dimension
@@ -254,7 +295,7 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
         divided by the orbit size.
     """
     if isinstance(raw, SymmetricTensor):
-        return SymmetricTensor(raw.space, raw.order, dict(raw.entries))
+        return SymmetricTensor._of(raw.space, raw.order, raw.entries)
     if isinstance(raw, RawTensor):
         return raw.symmetrized()
     if isinstance(raw, np.ndarray):
@@ -262,35 +303,32 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
             if raw.ndim == 0:
                 raise ValidationError("scalar array input requires an explicit space")
             space = HilbertSpace(raw.shape[0])
-        q = raw.ndim
         if any(s != space.dimension for s in raw.shape):
             raise ValidationError(f"array shape {raw.shape} is not (N,)*q for N={space.dimension}")
-        acc: dict[Index, float] = {}
-        for pos in zip(*np.nonzero(raw)) if q else [()]:
-            key = tuple(sorted(int(i) + 1 for i in pos))
-            acc[key] = acc.get(key, 0.0) + float(raw[pos])
-        out = {key: acc[key] / multiplicity(key) for key in acc}
-        return SymmetricTensor(space, q, out)
+        # nonzero positions come in C order, which is the sorted key order
+        positions = zip(*np.nonzero(raw)) if raw.ndim else [()]
+        return _orbit_average(space, raw.ndim, ((tuple(int(i) + 1 for i in pos), raw[pos]) for pos in positions))
     if isinstance(raw, Mapping):
         if space is None:
             raise ValidationError("mapping input requires an explicit space")
-        keys = sorted(raw)
         if order is None:
-            if not keys:
+            if not raw:
                 raise ValidationError("cannot infer order from an empty mapping")
-            order = len(keys[0])
-        acc = {}
-        for key in keys:
-            if not isinstance(key, tuple) or len(key) != order:
-                raise ValidationError(f"raw index {key!r} must be a tuple of length {order}")
-            for i in key:
-                if not isinstance(i, int) or not 1 <= i <= space.dimension:
-                    raise ValidationError(f"raw index {key!r} has coordinate {i!r} outside 1..{space.dimension}")
-            skey = tuple(sorted(key))
-            acc[skey] = acc.get(skey, 0.0) + float(raw[key])
-        out = {key: acc[key] / multiplicity(key) for key in acc}
-        return SymmetricTensor(space, order, out)
+            order = next((len(key) for key in raw if isinstance(key, tuple)), 0)
+        for key, value in raw.items():
+            _check_index(key, order, space.dimension, "raw index", ascending=False)
+            _check_value(key, value)
+        return _orbit_average(space, order, ((key, raw[key]) for key in sorted(raw)))
     raise ValidationError(f"cannot symmetrize object of type {type(raw).__name__}")
+
+
+def _orbit_average(space: HilbertSpace, order: int, terms: Iterable[tuple[Index, float]]) -> SymmetricTensor:
+    """Sum the (full index, value) terms onto sorted keys, divided by each orbit size."""
+    acc: dict[Index, float] = {}
+    for index, value in terms:
+        key = tuple(sorted(index))
+        acc[key] = acc.get(key, 0.0) + float(value)
+    return SymmetricTensor._of(space, order, {key: acc[key] / multiplicity(key) for key in acc})
 
 
 def inner(f: SymmetricTensor, g: SymmetricTensor) -> float:
@@ -360,7 +398,7 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
             for rest_g, vg in matches:
                 key = (rest_f, rest_g)
                 out[key] = out.get(key, 0.0) + weight * vg
-    return RawTensor(f.space, f.order - r, g.order - r, out)
+    return RawTensor._of(f.space, f.order - r, g.order - r, out)
 
 
 def contract_sym(f: SymmetricTensor, g: SymmetricTensor, r: int) -> SymmetricTensor:

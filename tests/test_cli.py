@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_contract_round_trip_and_norm(workdir, capsys):
     assert "norm: 1" in out
     raw = load_raw("c.json")
     assert raw.entries == {((1,), (1,)): 1.0}
-    meta = json.load(open("c.json"))["meta"]
+    meta = json.loads(Path("c.json").read_text())["meta"]
     assert meta["norm"] == 1.0
     assert meta["generator"] == "philox4x64-ndtri/1"
     assert meta["config"]["subcommand"] == "contract"
@@ -68,7 +69,7 @@ def test_contract_disjoint_is_zero(workdir):
     wc.save_kernel(SymmetricTensor(sp, 2, {(3, 3): 1.0}), "h.json")
     assert main(["contract", "f.json", "h.json", "--r", "1", "--out", "z.json"]) == 0
     assert load_raw("z.json").entries == {}
-    assert json.load(open("z.json"))["meta"]["norm"] == 0.0
+    assert json.loads(Path("z.json").read_text())["meta"]["norm"] == 0.0
 
 
 def test_cov2_csv_matches_check_witness(workdir):
@@ -95,7 +96,9 @@ def test_cov2_and_check_summary_pairs_are_identical(workdir):
     # both commands write the pair objects through PairRow.json_row
     assert main(["cov2", "persistent.json", "--format", "summary", "--out", "cov2.json"]) == 0
     assert main(["check", "persistent.json", "--samples", "0", "--out", "check.json"]) == 1
-    assert json.load(open("cov2.json"))["pairs"] == json.load(open("check.json"))["pairs"]
+    assert (
+        json.loads(Path("cov2.json").read_text())["pairs"] == json.loads(Path("check.json").read_text())["pairs"]
+    )
 
 
 def test_cov2_all_zero_for_disjoint(workdir):
@@ -120,7 +123,7 @@ def test_check_summary_document(workdir):
         ["check", "persistent.json", "--samples", "20000", "--seed", "5", "--out", "r.json"]
     )
     assert code == 1
-    doc = json.load(open("r.json"))
+    doc = json.loads(Path("r.json").read_text())
     assert doc["meta"]["seed"] == 5
     assert doc["cov_pass"] is False and doc["contraction_pass"] is False
     assert abs(doc["witness_cov"] - 0.875) < 1e-12
@@ -128,7 +131,7 @@ def test_check_summary_document(workdir):
     assert doc["empirical"]["gap"] > 4 * doc["empirical"]["stderr"]
     # reproducible given the seed
     main(["check", "persistent.json", "--samples", "20000", "--seed", "5", "--out", "r2.json"])
-    assert open("r.json").read() == open("r2.json").read()
+    assert Path("r.json").read_text() == Path("r2.json").read_text()
 
 
 def test_check_csv_format(workdir):
@@ -195,7 +198,7 @@ def test_sweep_byte_identical_reruns(workdir):
     ]
     main(argv + ["--out", "a.csv"])
     main(argv + ["--out", "b.csv"])
-    assert open("a.csv", "rb").read() == open("b.csv", "rb").read()
+    assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
 
 
 def test_sweep_rejects_bad_flags(workdir, capsys):
@@ -209,7 +212,7 @@ def test_sweep_rejects_bad_flags(workdir, capsys):
 def test_simulate_shape_and_determinism(workdir):
     main(["simulate", "persistent.json", "--samples", "40", "--seed", "2", "--out", "s1.csv"])
     main(["simulate", "persistent.json", "--samples", "40", "--seed", "2", "--out", "s2.csv"])
-    assert open("s1.csv", "rb").read() == open("s2.csv", "rb").read()
+    assert Path("s1.csv").read_bytes() == Path("s2.csv").read_bytes()
     comments, rows = read_csv("s1.csv")
     assert rows[0] == "sample,F1,F2"
     assert len(rows) == 41
@@ -234,7 +237,7 @@ def test_failed_run_leaves_no_output_file(workdir):
 
 def test_cli_imports_no_private_names():
     # the CLI is a shell over the public API: no "from .module import _name"
-    tree = ast.parse(open(os.path.join(os.path.dirname(wc.__file__), "cli.py")).read())
+    tree = ast.parse(Path(wc.__file__).with_name("cli.py").read_text())
     private = [
         f"{node.module}.{alias.name}"
         for node in ast.walk(tree)

@@ -15,11 +15,13 @@ import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wienerchaos as wc
+from wienerchaos import sequences, tensor
 from wienerchaos.chaos import isserlis_moment
 from wienerchaos.exceptions import (
     DegenerateInputError,
@@ -189,7 +191,7 @@ def test_kernel_round_trip_bit_exact(tmp_path):
     assert list(back.entries.values()) == list(k.entries.values())
     # canonical text is reproducible
     wc.save_kernel(back, os.path.join(tmp_path, "k2.json"))
-    assert open(path).read() == open(os.path.join(tmp_path, "k2.json")).read()
+    assert Path(path).read_text() == Path(tmp_path, "k2.json").read_text()
 
 
 def test_kernel_document_is_plain_json():
@@ -396,3 +398,33 @@ def test_seventeen_digit_floats_survive():
         k = SymmetricTensor(sp, 1, {(1,): value})
         back = wc.load_kernel(json.loads(kernel_document(k)))
         assert back.entries[(1,)] == value, value
+
+
+def _count_index_checks(monkeypatch) -> list:
+    """Record every call of the one index check, from the tensor module or a loader."""
+    calls = []
+    check = tensor._check_index
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "_check_index", counting)
+    monkeypatch.setattr(sequences, "_check_index", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family, orders, n", [("vanishing_overlap", (2, 2), 256), ("mixed_orders", (3, 2), 128)])
+def test_criterion_check_does_not_recheck_indices(monkeypatch, family, orders, n):
+    vector = wc.generate(wc.FamilySpec(family, orders, (1, 1)), n)
+    calls = _count_index_checks(monkeypatch)
+    wc.criterion_check(vector)
+    assert calls == []
+
+
+def test_load_vector_checks_each_index_once(monkeypatch):
+    vector = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1)), 256)
+    document = json.loads(vector_document(vector))
+    calls = _count_index_checks(monkeypatch)
+    loaded = wc.load_vector(document)
+    assert len(calls) == 514 == sum(len(element.kernel.entries) for element in loaded.elements)

@@ -84,6 +84,47 @@ def test_constructor_validates_and_lookup_sorts():
         HilbertSpace(0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda sp: SymmetricTensor(sp, 1, {(1,): 1.0, 2: 1.0}),
+        lambda sp: SymmetricTensor(sp, 1, {(1,): "x"}),
+        lambda sp: symmetrize({3: 2.0}, sp),
+        lambda sp: RawTensor(sp, 1, 1, {((1,), (2,)): 1.0, 5: 1.0}),
+    ],
+    ids=["int-key", "string-value", "symmetrize-int-key", "raw-int-key"],
+)
+def test_malformed_entries_raise_validation_error(build):
+    # checked before any key is sorted or value converted
+    with pytest.raises(ValidationError):
+        build(HilbertSpace(3))
+
+
+def test_space_dimension_rejects_bool():
+    with pytest.raises(ValidationError):
+        HilbertSpace(True)
+
+
+def test_raw_tensor_rejects_non_finite_values():
+    with pytest.raises(ValidationError, match="finite"):
+        RawTensor(HilbertSpace(2), 1, 1, {((1,), (2,)): float("nan")})
+
+
+def test_raw_tensor_orders_follow_the_symmetric_rules():
+    sp = HilbertSpace(2)
+    with pytest.raises(ValidationError):
+        RawTensor(sp, -1, 1, {})
+    with pytest.raises(ResourceLimitError):
+        RawTensor(sp, 1, 21, {})
+
+
+def test_contraction_overflow_raises():
+    # 1e200 * 1e200 overflows; the result is not stored as inf
+    f = SymmetricTensor(HilbertSpace(1), 1, {(1,): 1e200})
+    with pytest.raises(ValidationError, match="finite"):
+        contract(f, f, 0)
+
+
 def test_order_cap_guard():
     sp = HilbertSpace(2)
     with pytest.raises(ResourceLimitError):
