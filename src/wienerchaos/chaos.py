@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError
 from .hermite import hermite_orders
-from .tensor import HilbertSpace, SymmetricTensor, contract, contract_sym, inner, occupation
+from .tensor import HilbertSpace, SymmetricTensor, _float_ops, _run_starts, contract, contract_sym, inner, occupation
 
 # Guards for the brute-force moment oracle.
 ORACLE_MAX_TOTAL_ORDER = 12
@@ -58,8 +58,9 @@ class ChaosElement:
         return self.kernel.space
 
     def __repr__(self) -> str:
-        return f"ChaosElement(order={self.order}, N={self.space.dimension}, nnz={len(self.kernel.entries)})"
+        return f"ChaosElement(order={self.order}, N={self.space.dimension}, nnz={len(self.kernel.val)})"
 
+    @_float_ops
     def prepared(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Flat (coords, counts, offsets, coeffs) arrays for batch evaluation.
 
@@ -70,22 +71,13 @@ class ChaosElement:
         equal in every entry, and one copy is kept.
         """
         if self._prep is None:
-            coords: list[int] = []
-            counts: list[int] = []
-            offsets = [0]
-            coeffs: list[float] = []
-            scale = float(math.factorial(self.order))
-            for index, value in self.kernel.items():
-                for coord, count in occupation(index):
-                    coords.append(coord - 1)
-                    counts.append(count)
-                offsets.append(len(coords))
-                coeffs.append(scale * value)
+            idx = self.kernel.idx
+            starts = _run_starts(idx)
             self._prep = (
-                np.asarray(coords, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-                np.asarray(offsets, dtype=np.int64),
-                np.asarray(coeffs, dtype=np.float64),
+                idx[starts] - 1,
+                np.diff(np.flatnonzero(starts), append=idx.size),
+                np.concatenate(([0], np.cumsum(starts.sum(axis=1)))),
+                float(math.factorial(self.order)) * self.kernel.val,
             )
         return self._prep
 
@@ -100,19 +92,17 @@ class ChaosExpansion:
     __slots__ = ("space", "components")
 
     def __init__(self, space: HilbertSpace, components: dict[int, SymmetricTensor]):
-        clean: dict[int, SymmetricTensor] = {}
-        for order in sorted(components):
-            tensor = components[order]
+        for order, tensor in components.items():
             if not isinstance(order, int) or order < 0:
                 raise ValidationError(f"component order must be a non-negative integer, got {order!r}")
+            if not isinstance(tensor, SymmetricTensor):
+                raise ValidationError(f"component at order {order} is a {type(tensor).__name__}, not a SymmetricTensor")
             if tensor.order != order:
                 raise ValidationError(f"component at order {order} has tensor order {tensor.order}")
             if tensor.space != space:
                 raise ValidationError("all components must share the expansion space")
-            if tensor.entries:
-                clean[order] = tensor
         self.space = space
-        self.components = clean
+        self.components = {order: components[order] for order in sorted(components) if len(components[order].val)}
 
     def __repr__(self) -> str:
         return f"ChaosExpansion(N={self.space.dimension}, orders={sorted(self.components)})"

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping
 from .chaos import STANDARDIZED_TOL, ChaosElement, variance
 from .exceptions import DegenerateInputError, InvalidKernelError, ValidationError
 from .independence import ChaosVector
-from .tensor import HilbertSpace, RawTensor, SymmetricTensor, _check_index
+from .tensor import HilbertSpace, RawTensor, SymmetricTensor, _arrays, _check_index
 
 FAMILIES = ("disjoint", "vanishing_overlap", "persistent_overlap", "mixed_orders")
 
@@ -69,7 +69,7 @@ class FamilySpec:
             raise ValidationError(f"orders must be non-increasing, got {orders}")
         if any(not isinstance(m, int) or m < 1 for m in sizes):
             raise ValidationError(f"group sizes must be positive integers, got {sizes}")
-        if not (isinstance(self.theta, (int, float)) and 0.0 <= self.theta <= 1.0):
+        if isinstance(self.theta, bool) or not (isinstance(self.theta, (int, float)) and 0.0 <= self.theta <= 1.0):
             raise ValidationError(f"theta must lie in [0, 1], got {self.theta!r}")
         if self.family == "mixed_orders":
             if len(orders) != 2 or orders[0] <= orders[1]:
@@ -149,13 +149,13 @@ def format_float(value: float) -> str:
 _SIDES = {SymmetricTensor: {"index": "order"}, RawTensor: {"left": "left_order", "right": "right_order"}}
 
 
-def _table_document(kind: type, space: HilbertSpace, orders: list[int], entries) -> str:
+def _table_document(table: SymmetricTensor | RawTensor) -> str:
     """Canonical JSON text of a kernel or raw entry table (entries in order, 17-digit floats)."""
-    sides = _SIDES[kind]
-    lines = ["{", f'  "dimension": {space.dimension},']
-    lines += [f'  "{key}": {order},' for key, order in zip(sides.values(), orders)]
+    sides = _SIDES[type(table)]
+    lines = ["{", f'  "dimension": {table.space.dimension},']
+    lines += [f'  "{key}": {getattr(table, key)},' for key in sides.values()]
     rows = []
-    for key, value in entries:
+    for key, value in table.entries.items():
         indices = [key] if len(sides) == 1 else key
         cells = "".join(f'"{name}": [{", ".join(map(str, index))}], ' for name, index in zip(sides, indices))
         rows.append(f'    {{{cells}"value": {format_float(value)}}}')
@@ -165,7 +165,7 @@ def _table_document(kind: type, space: HilbertSpace, orders: list[int], entries)
 
 def kernel_document(tensor: SymmetricTensor) -> str:
     """Canonical JSON text for one kernel (sorted entries, 17-digit floats)."""
-    return _table_document(SymmetricTensor, tensor.space, [tensor.order], tensor.items())
+    return _table_document(tensor)
 
 
 def write_atomic(text: str | Iterable[str], path: str) -> None:
@@ -186,6 +186,8 @@ def write_atomic(text: str | Iterable[str], path: str) -> None:
 
 
 def _read_json(path: str):
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidKernelError(f"expected a JSON document or a file path, got {type(path).__name__}")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -196,12 +198,14 @@ def _read_json(path: str):
 
 
 def _parse_table(document, where: str, kind: type):
-    """Check a kernel (kind SymmetricTensor) or raw (RawTensor) document and build it.
+    """Check a kernel (kind SymmetricTensor) or raw (RawTensor) document, or the file at that path, and build it.
 
     Each index goes through the tensor module's index check once, labelled with
     its entry number; the tensor is then built without checking it again.
     """
     sides = _SIDES[kind]
+    if not isinstance(document, Mapping):
+        document, where = _read_json(document), str(document)
     if not isinstance(document, Mapping):
         raise InvalidKernelError(f"{where}: document must be a JSON object")
     for key in ("dimension", *sides.values(), "entries"):
@@ -241,7 +245,7 @@ def _parse_table(document, where: str, kind: type):
         if key in entries:
             raise InvalidKernelError(f"{label}: duplicate index {', '.join(str(entry[name]) for name in sides)}")
         entries[key] = float(value)
-    return kind._of(HilbertSpace(dimension), *orders, entries)
+    return kind._of(HilbertSpace(dimension), tuple(orders), *_arrays(entries, tuple(orders)))
 
 
 def save_kernel(tensor: SymmetricTensor, path: str) -> None:
@@ -250,7 +254,7 @@ def save_kernel(tensor: SymmetricTensor, path: str) -> None:
 
 def raw_document(raw: RawTensor) -> str:
     """Canonical JSON text for an unsymmetrized contraction result."""
-    return _table_document(RawTensor, raw.space, [raw.left_order, raw.right_order], raw.entries.items())
+    return _table_document(raw)
 
 
 def save_raw(raw: RawTensor, path: str) -> None:
@@ -259,16 +263,12 @@ def save_raw(raw: RawTensor, path: str) -> None:
 
 def load_raw(source: str | Mapping) -> RawTensor:
     """Read an unsymmetrized contraction from a JSON file path or document."""
-    if isinstance(source, Mapping):
-        return _parse_table(source, "raw tensor", RawTensor)
-    return _parse_table(_read_json(source), str(source), RawTensor)
+    return _parse_table(source, "raw tensor", RawTensor)
 
 
 def load_kernel(source: str | Mapping) -> SymmetricTensor:
     """Read a kernel from a JSON file path or an already-parsed document."""
-    if isinstance(source, Mapping):
-        return _parse_table(source, "kernel", SymmetricTensor)
-    return _parse_table(_read_json(source), str(source), SymmetricTensor)
+    return _parse_table(source, "kernel", SymmetricTensor)
 
 
 def vector_document(vector: ChaosVector) -> str:
@@ -308,9 +308,9 @@ def load_vector(source: str | Mapping) -> ChaosVector:
     if isinstance(source, Mapping):
         document = source
     else:
+        document = _read_json(source)
         where = str(source)
         base_dir = os.path.dirname(os.path.abspath(source))
-        document = _read_json(source)
     if not isinstance(document, Mapping):
         raise InvalidKernelError(f"{where}: manifest must be a JSON object")
     if "groups" not in document or not isinstance(document["groups"], list) or not document["groups"]:

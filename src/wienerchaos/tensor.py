@@ -1,24 +1,32 @@
 """Sparse symmetric tensors over finite-dimensional real Hilbert spaces.
 
-A symmetric order-q tensor is stored as a map from its sorted multi-index
-(1-based, ascending, repeats allowed) to the coefficient at that index.
-Any permutation of a stored index carries the same coefficient, so the
-stored entries enumerate orbits, and the orbit size q!/prod(a_i!) (a_i the
-occupation counts) enters every norm and inner-product computation.
-Operations drop exact zeros only; a coefficient is never truncated for being
-small, so results scale homogeneously with their inputs.
+A symmetric order-q tensor stores one row per orbit: `idx` (nnz x q ints)
+holds the sorted 1-based multi-indices, repeats allowed, in lexicographic
+order, and `val` (float64) their coefficients.  `entries` and `items()` are
+a read-only {index: value} view of the same rows, built on first use.  The
+orbit size q!/prod(a_i!) (a_i the occupation counts) enters every norm and
+inner product.  Operations drop exact zeros only, never small values, so
+results scale homogeneously with their inputs.
+
+Every sum adds its terms left to right from 0.0, as `total += term` does:
+norms and inner products in row order, each contraction row in the order of
+the f entries behind its terms.  np.cumsum and np.bincount add that way;
+np.sum adds pairwise and would move bits.  Orbit sizes are exact integers,
+rounded to float once per term.
 
 Indices are checked once, where entries enter: by _check_index in the public
 constructors, in symmetrize on a mapping, and in the loaders.  Results built
-inside the package skip it; every tensor still gets sorted keys, finite
+inside the package skip it; every tensor still gets sorted rows, finite
 values and no exact zeros.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
@@ -33,6 +41,9 @@ _DENSE_LIMIT = 1 << 24
 
 Index = tuple[int, ...]
 
+# Array arithmetic as quiet as Python floats: overflow gives inf, inf - inf nan; the finite check reports them.
+_float_ops = np.errstate(over="ignore", invalid="ignore")
+
 
 @dataclass(frozen=True)
 class HilbertSpace:
@@ -43,6 +54,8 @@ class HilbertSpace:
     def __post_init__(self) -> None:
         if not isinstance(self.dimension, int) or isinstance(self.dimension, bool) or self.dimension < 1:
             raise ValidationError(f"space dimension must be a positive integer, got {self.dimension!r}")
+        if self.dimension >= 2**63:
+            raise ResourceLimitError(f"space dimension {self.dimension} leaves the int64 range of index rows")
 
 
 def occupation(index: Index) -> tuple[tuple[int, int], ...]:
@@ -94,19 +107,112 @@ def _check_value(key, value) -> None:
         raise ValidationError(f"entry {key!r} has value {value!r}, not a real number")
 
 
-def _cleaned(entries: Mapping) -> dict:
-    """Entries in sorted key order as finite floats, exact zeros dropped."""
-    clean = {}
-    for key in sorted(entries):
-        value = float(entries[key])
-        if not math.isfinite(value):
-            raise ValidationError(f"entry {key!r} has non-finite value {value!r}")
-        if value != 0.0:
-            clean[key] = value
-    return clean
+def _arrays(entries: Mapping, orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and float values of {key: value} entries in sorted key order (RawTensor keys are pairs)."""
+    keys = sorted(entries)
+    rows = [key if len(orders) == 1 else key[0] + key[1] for key in keys]
+    values = np.array([float(entries[key]) for key in keys], dtype=np.float64)
+    return np.array(rows, dtype=np.int64).reshape(len(keys), sum(orders)), values
 
 
-class SymmetricTensor:
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an int array in lexicographic order, and the position of each row among them."""
+    count, width = rows.shape
+    order = np.lexsort(rows.T[::-1]) if width else np.arange(count)
+    ordered = rows[order]
+    first = np.ones(count, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def _run_starts(idx: np.ndarray, widths: tuple[int, ...] = ()) -> np.ndarray:
+    """True where a coordinate opens a run of equal ones in its row; each block of `widths` opens a run."""
+    starts = np.ones(idx.shape, dtype=bool)
+    starts[:, 1:] = idx[:, 1:] != idx[:, :-1]
+    cuts = np.cumsum(widths[:-1], dtype=np.intp)
+    starts[:, cuts[cuts < idx.shape[1]]] = True
+    return starts
+
+
+def _multiplicities(idx: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """Per row, the product of multiplicity(block) over the blocks of `widths`: exact, then rounded once.
+
+    Rows with the same runs share the product, so it is taken once per run pattern.
+    """
+    patterns, which = _unique_rows(_run_starts(idx, widths).view(np.int8))
+    top = math.prod(map(math.factorial, widths))
+    exact = []
+    for pattern in patterns.tolist():
+        # the k-th coordinate of a run divides by k, so a run of a coordinates divides by a!
+        ranks = itertools.accumulate(pattern, lambda run, opens: 1 if opens else run + 1)
+        exact.append(float(top // math.prod(ranks)))
+    return np.array(exact, dtype=np.float64)[which]
+
+
+def _running_total(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
+class _Table:
+    """Rows of indices and their values, shared by SymmetricTensor and RawTensor."""
+
+    __slots__ = ("space", "idx", "val", "_view")
+    _ORDERS: tuple[str, ...]
+
+    def _set(self, space: HilbertSpace, orders: tuple[int, ...], idx: np.ndarray, val: np.ndarray):
+        """Store distinct rows given in lexicographic order; values must be finite, exact zeros are dropped."""
+        _check_order(*orders)
+        self.space, self._view = space, None
+        for name, order in zip(self._ORDERS, orders):
+            setattr(self, name, order)
+        val = np.asarray(val, dtype=np.float64)
+        bad = ~np.isfinite(val)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"entry {self._key(idx[k].tolist())!r} has non-finite value {float(val[k])!r}")
+        keep = val != 0.0
+        self.idx, self.val = idx[keep], val[keep]
+        self.idx.flags.writeable = self.val.flags.writeable = False
+        return self
+
+    @classmethod
+    def _of(cls, space: HilbertSpace, orders: tuple[int, ...], idx: np.ndarray, val: np.ndarray):
+        """A result built from valid rows, distinct and in lexicographic order: they are not checked again."""
+        return cls.__new__(cls)._set(space, orders, idx, val)
+
+    @property
+    def entries(self) -> Mapping:
+        """Read-only {key: value} view of the rows, in lexicographic key order."""
+        if self._view is None:
+            self._view = dict(zip(map(self._key, self.idx.tolist()), self.val.tolist()))
+        return MappingProxyType(self._view)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.space == other.space
+            and all(getattr(self, name) == getattr(other, name) for name in self._ORDERS)
+            and np.array_equal(self.idx, other.idx)
+            and np.array_equal(self.val, other.val)
+        )
+
+    def to_dense(self) -> np.ndarray:
+        """Materialize the full N**q array (small inputs only)."""
+        n, order = self.space.dimension, self.idx.shape[1]
+        if n**order > _DENSE_LIMIT:
+            raise ResourceLimitError(f"dense form of size {n}**{order} exceeds the limit")
+        out = np.zeros((n,) * order)
+        for key, value in self.entries.items():
+            sides = (key,) if len(self._ORDERS) == 1 else key
+            for parts in itertools.product(*map(_arrangements, sides)):
+                out[tuple(i - 1 for part in parts for i in part)] = value
+        return out
+
+
+class SymmetricTensor(_Table):
     """Sparse symmetric tensor of fixed order over a HilbertSpace.
 
     Parameters
@@ -121,22 +227,17 @@ class SymmetricTensor:
         values that are not finite real numbers raise ValidationError.
     """
 
-    __slots__ = ("space", "order", "entries")
+    __slots__ = ("order",)
+    _ORDERS = ("order",)
 
     def __init__(self, space: HilbertSpace, order: int, entries: Mapping[Index, float]):
         _check_order(order)
         for index, value in entries.items():
             _check_index(index, order, space.dimension)
             _check_value(index, value)
-        self.space, self.order, self.entries = space, order, _cleaned(entries)
+        self._set(space, (order,), *_arrays(entries, (order,)))
 
-    @classmethod
-    def _of(cls, space: HilbertSpace, order: int, entries: Mapping) -> "SymmetricTensor":
-        """A result built from valid indices: the indices are not checked again."""
-        _check_order(order)
-        tensor = cls.__new__(cls)
-        tensor.space, tensor.order, tensor.entries = space, order, _cleaned(entries)
-        return tensor
+    _key = staticmethod(tuple)
 
     def items(self) -> Iterator[tuple[Index, float]]:
         """Entries in lexicographic index order."""
@@ -145,53 +246,36 @@ class SymmetricTensor:
     def __getitem__(self, index: Index) -> float:
         return self.entries.get(tuple(sorted(index)), 0.0)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymmetricTensor)
-            and self.space == other.space
-            and self.order == other.order
-            and self.entries == other.entries
-        )
-
     def __repr__(self) -> str:
-        return f"SymmetricTensor(N={self.space.dimension}, order={self.order}, nnz={len(self.entries)})"
+        return f"SymmetricTensor(N={self.space.dimension}, order={self.order}, nnz={len(self.val)})"
 
+    @_float_ops
     def scaled(self, factor: float) -> "SymmetricTensor":
-        return SymmetricTensor._of(self.space, self.order, {k: factor * v for k, v in self.entries.items()})
+        return SymmetricTensor._of(self.space, (self.order,), self.idx, factor * self.val)
 
     def __add__(self, other: "SymmetricTensor") -> "SymmetricTensor":
         if self.space != other.space or self.order != other.order:
             raise ValidationError("tensor addition requires equal space and order")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0.0) + v
-        return SymmetricTensor._of(self.space, self.order, out)
+        keys, group = _unique_rows(np.concatenate([self.idx, other.idx]))
+        sums = np.bincount(group, weights=np.concatenate([self.val, other.val]), minlength=len(keys))
+        return SymmetricTensor._of(self.space, (self.order,), keys, sums)
 
     def norm(self) -> float:
         return math.sqrt(inner(self, self))
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the full N**q array (small inputs only)."""
-        n = self.space.dimension
-        if n**self.order > _DENSE_LIMIT:
-            raise ResourceLimitError(f"dense form of size {n}**{self.order} exceeds the limit")
-        out = np.zeros((n,) * self.order)
-        for index, value in self.entries.items():
-            for perm in _arrangements(index):
-                out[tuple(i - 1 for i in perm)] = value
-        return out
 
-
-class RawTensor:
+class RawTensor(_Table):
     """Unsymmetrized contraction output of order left_order + right_order.
 
     The value at a full multi-index depends only on the multiset of its
     first left_order coordinates and the multiset of the rest, so entries
-    are keyed by the pair (sorted left index, sorted right index).  Each
-    side follows the SymmetricTensor rules for its order, index and values.
+    are keyed by the pair (sorted left index, sorted right index); an `idx`
+    row holds the left index, then the right one.  Each side follows the
+    SymmetricTensor rules for its order, index and values.
     """
 
-    __slots__ = ("space", "left_order", "right_order", "entries")
+    __slots__ = ("left_order", "right_order")
+    _ORDERS = ("left_order", "right_order")
 
     def __init__(
         self, space: HilbertSpace, left_order: int, right_order: int, entries: Mapping[tuple[Index, Index], float]
@@ -203,60 +287,30 @@ class RawTensor:
             _check_index(key[0], left_order, space.dimension, "left index")
             _check_index(key[1], right_order, space.dimension, "right index")
             _check_value(key, value)
-        self.space, self.left_order, self.right_order = space, left_order, right_order
-        self.entries = _cleaned(entries)
+        self._set(space, (left_order, right_order), *_arrays(entries, (left_order, right_order)))
 
-    @classmethod
-    def _of(cls, space: HilbertSpace, left_order: int, right_order: int, entries: Mapping) -> "RawTensor":
-        """A result built from valid index pairs: the indices are not checked again."""
-        _check_order(left_order, right_order)
-        raw = cls.__new__(cls)
-        raw.space, raw.left_order, raw.right_order = space, left_order, right_order
-        raw.entries = _cleaned(entries)
-        return raw
+    def _key(self, row: list) -> tuple[Index, Index]:
+        return tuple(row[: self.left_order]), tuple(row[self.left_order :])
 
     @property
     def order(self) -> int:
         return self.left_order + self.right_order
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RawTensor)
-            and self.space == other.space
-            and self.left_order == other.left_order
-            and self.right_order == other.right_order
-            and self.entries == other.entries
-        )
-
     def __repr__(self) -> str:
-        return (
-            f"RawTensor(N={self.space.dimension}, orders=({self.left_order},{self.right_order}), "
-            f"nnz={len(self.entries)})"
-        )
+        orders = f"({self.left_order},{self.right_order})"
+        return f"RawTensor(N={self.space.dimension}, orders={orders}, nnz={len(self.val)})"
 
+    def _weights(self) -> np.ndarray:
+        """multiplicity(left) * multiplicity(right) * value per row."""
+        return _multiplicities(self.idx, (self.left_order, self.right_order)) * self.val
+
+    @_float_ops
     def norm(self) -> float:
-        total = 0.0
-        for (left, right), value in self.entries.items():
-            total += multiplicity(left) * multiplicity(right) * value * value
-        return math.sqrt(total)
+        return math.sqrt(_running_total(self._weights() * self.val))
 
+    @_float_ops
     def symmetrized(self) -> SymmetricTensor:
-        terms = (
-            (left + right, multiplicity(left) * multiplicity(right) * value)
-            for (left, right), value in self.entries.items()
-        )
-        return _orbit_average(self.space, self.order, terms)
-
-    def to_dense(self) -> np.ndarray:
-        n = self.space.dimension
-        if n**self.order > _DENSE_LIMIT:
-            raise ResourceLimitError(f"dense form of size {n}**{self.order} exceeds the limit")
-        out = np.zeros((n,) * self.order)
-        for (left, right), value in self.entries.items():
-            for lperm in _arrangements(left):
-                for rperm in _arrangements(right):
-                    out[tuple(i - 1 for i in lperm + rperm)] = value
-        return out
+        return _orbit_average(self.space, self.order, self.idx, self._weights())
 
 
 RawLike = Union[SymmetricTensor, RawTensor, Mapping, np.ndarray]
@@ -295,7 +349,7 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
         divided by the orbit size.
     """
     if isinstance(raw, SymmetricTensor):
-        return SymmetricTensor._of(raw.space, raw.order, raw.entries)
+        return SymmetricTensor._of(raw.space, (raw.order,), raw.idx, raw.val)
     if isinstance(raw, RawTensor):
         return raw.symmetrized()
     if isinstance(raw, np.ndarray):
@@ -306,8 +360,7 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
         if any(s != space.dimension for s in raw.shape):
             raise ValidationError(f"array shape {raw.shape} is not (N,)*q for N={space.dimension}")
         # nonzero positions come in C order, which is the sorted key order
-        positions = zip(*np.nonzero(raw)) if raw.ndim else [()]
-        return _orbit_average(space, raw.ndim, ((tuple(int(i) + 1 for i in pos), raw[pos]) for pos in positions))
+        return _orbit_average(space, raw.ndim, np.argwhere(raw) + 1, raw[raw != 0].astype(np.float64))
     if isinstance(raw, Mapping):
         if space is None:
             raise ValidationError("mapping input requires an explicit space")
@@ -318,19 +371,18 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
         for key, value in raw.items():
             _check_index(key, order, space.dimension, "raw index", ascending=False)
             _check_value(key, value)
-        return _orbit_average(space, order, ((key, raw[key]) for key in sorted(raw)))
+        return _orbit_average(space, order, *_arrays(raw, (order,)))
     raise ValidationError(f"cannot symmetrize object of type {type(raw).__name__}")
 
 
-def _orbit_average(space: HilbertSpace, order: int, terms: Iterable[tuple[Index, float]]) -> SymmetricTensor:
-    """Sum the (full index, value) terms onto sorted keys, divided by each orbit size."""
-    acc: dict[Index, float] = {}
-    for index, value in terms:
-        key = tuple(sorted(index))
-        acc[key] = acc.get(key, 0.0) + float(value)
-    return SymmetricTensor._of(space, order, {key: acc[key] / multiplicity(key) for key in acc})
+def _orbit_average(space: HilbertSpace, order: int, idx: np.ndarray, values: np.ndarray) -> SymmetricTensor:
+    """Sum each full-index row's value onto its sorted row, in row order, divided by each orbit size."""
+    keys, group = _unique_rows(np.sort(idx, axis=1))
+    sums = np.bincount(group, weights=values, minlength=len(keys))
+    return SymmetricTensor._of(space, (order,), keys, sums / _multiplicities(keys, (order,)))
 
 
+@_float_ops
 def inner(f: SymmetricTensor, g: SymmetricTensor) -> float:
     """Hilbert-Schmidt inner product <f, g> of two equal-order tensors.
 
@@ -341,29 +393,32 @@ def inner(f: SymmetricTensor, g: SymmetricTensor) -> float:
         raise ValidationError("inner product requires tensors over the same space")
     if f.order != g.order:
         raise ValidationError(f"inner product requires equal orders, got {f.order} and {g.order}")
-    total = 0.0
-    for key in sorted(f.entries.keys() & g.entries.keys()):
-        total += multiplicity(key) * f.entries[key] * g.entries[key]
-    return total
+    _, group = _unique_rows(np.concatenate([f.idx, g.idx]))
+    _, at_f, at_g = np.intersect1d(group[: len(f.val)], group[len(f.val) :], assume_unique=True, return_indices=True)
+    return _running_total(_multiplicities(f.idx[at_f], (f.order,)) * f.val[at_f] * g.val[at_g])
 
 
-def _submultisets(occ: tuple[tuple[int, int], ...], r: int) -> Iterator[tuple[Index, Index]]:
-    """Yield (sub, rest) sorted-index pairs over distinct size-r sub-multisets."""
-    if r == 0:
-        rest = []
-        for coord, count in occ:
-            rest.extend([coord] * count)
-        yield (), tuple(rest)
-        return
-    if not occ:
-        return
-    coord, count = occ[0]
-    tail = occ[1:]
-    for take in range(min(count, r), -1, -1):
-        for sub, rest in _submultisets(tail, r - take):
-            yield (coord,) * take + sub, (coord,) * (count - take) + rest
+def _cuts(t: SymmetricTensor, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(entry, sub, rest) rows, one per distinct size-r sub-multiset of each stored index, in entry order.
+
+    Indices with the same runs share their cuts: the first k_i coordinates of each run i, sum k_i = r.
+    """
+    q = t.order
+    patterns, which = _unique_rows(_run_starts(t.idx).view(np.int8))
+    entry, sub, rest = [np.zeros(0, np.intp)], [np.zeros((0, r), np.int64)], [np.zeros((0, q - r), np.int64)]
+    for p, pattern in enumerate(patterns.tolist()):
+        runs = [range(a, b) for a, b in itertools.pairwise([j for j in range(q) if pattern[j]] + [q])]
+        for take in itertools.product(*(range(len(run) + 1) for run in runs)):
+            if sum(take) == r:
+                picked = [j for run, k in zip(runs, take) for j in run[:k]]
+                entry.append(np.flatnonzero(which == p))
+                sub.append(t.idx[entry[-1]][:, picked])
+                rest.append(np.delete(t.idx[entry[-1]], picked, axis=1))
+    order = np.argsort(np.concatenate(entry), kind="stable")
+    return tuple(np.concatenate(part)[order] for part in (entry, sub, rest))
 
 
+@_float_ops
 def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
     """Contraction f (x)_r g over the last r slots of each factor.
 
@@ -371,6 +426,9 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
     f(i, s) g(j, s).  The result has order p + q - 2r and is symmetric in
     the i block and in the j block separately, but not jointly, so it is
     returned unsymmetrized as a RawTensor.
+
+    Each f and g entry is cut once per distinct size-r sub-multiset; cuts with
+    equal subs join, and multiplicity(sub) * f * g adds to row (rest_f, rest_g).
 
     Parameters
     ----------
@@ -384,21 +442,19 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
         raise ValidationError("contraction requires tensors over the same space")
     if not isinstance(r, int) or not 0 <= r <= min(f.order, g.order):
         raise ValidationError(f"contraction rank {r!r} outside 0..min({f.order}, {g.order})")
-    by_sub: dict[Index, list[tuple[Index, float]]] = {}
-    for kg, vg in g.items():
-        for sub, rest in _submultisets(occupation(kg), r):
-            by_sub.setdefault(sub, []).append((rest, vg))
-    out: dict[tuple[Index, Index], float] = {}
-    for kf, vf in f.items():
-        for sub, rest_f in _submultisets(occupation(kf), r):
-            matches = by_sub.get(sub)
-            if matches is None:
-                continue
-            weight = multiplicity(sub) * vf
-            for rest_g, vg in matches:
-                key = (rest_f, rest_g)
-                out[key] = out.get(key, 0.0) + weight * vg
-    return RawTensor._of(f.space, f.order - r, g.order - r, out)
+    entry_f, sub_f, rest_f = _cuts(f, r)
+    entry_g, sub_g, rest_g = _cuts(g, r)
+    subs, group = _unique_rows(np.concatenate([sub_f, sub_g]))
+    group_f, group_g = group[: len(entry_f)], group[len(entry_f) :]
+    by_group = np.argsort(group_g, kind="stable")  # g cuts by sub, each in entry order
+    low = np.searchsorted(group_g[by_group], group_f, "left")
+    count = np.searchsorted(group_g[by_group], group_f, "right") - low
+    left = np.repeat(np.arange(len(entry_f)), count)
+    right = by_group[np.arange(len(left)) - np.repeat(np.cumsum(count) - count - low, count)]
+    weight = _multiplicities(subs, (r,))[group_f] * f.val[entry_f]
+    keys, out = _unique_rows(np.hstack([rest_f[left], rest_g[right]]))
+    sums = np.bincount(out, weights=weight[left] * g.val[entry_g[right]], minlength=len(keys))
+    return RawTensor._of(f.space, (f.order - r, g.order - r), keys, sums)
 
 
 def contract_sym(f: SymmetricTensor, g: SymmetricTensor, r: int) -> SymmetricTensor:

@@ -171,6 +171,18 @@ def test_expansion_validation():
         ChaosExpansion(HilbertSpace(3), {1: t1})
 
 
+@pytest.mark.parametrize(
+    "components",
+    [lambda t: {1: t, "a": t}, lambda t: {1: "x"}, lambda t: {1.0: t}, lambda t: {None: t, 1: t}],
+    ids=["string-order", "string-tensor", "float-order", "none-order"],
+)
+def test_expansion_rejects_malformed_components(components):
+    # checked before the orders are sorted or a tensor's order is read
+    sp = HilbertSpace(2)
+    with pytest.raises(ValidationError):
+        ChaosExpansion(sp, components(SymmetricTensor(sp, 1, {(1,): 1.0})))
+
+
 def test_expansion_covariance_orthogonality():
     # Orders never mix: covariance sums k!<h_k, g_k> over shared orders.
     sp = HilbertSpace(2)

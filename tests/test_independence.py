@@ -360,6 +360,25 @@ def test_vanishing_overlap_witness_at_large_n():
     assert abs(report.witness_norm - delta**2 / 2) <= 1e-12 * delta**2 / 2
 
 
+def test_vanishing_overlap_witness_at_n_65536_in_bounded_memory():
+    # The same closed forms with 65,537 entries per kernel.  The array
+    # contractions peaked at 12.6 MiB traced here (202 bytes per kernel
+    # entry); the bound allows 1.5x that.  The dict-of-tuples contractions
+    # they replaced peaked at 32 MiB.
+    n = 65536
+    v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5), n)
+    delta = 0.5 * n**-0.25
+    tracemalloc.start()
+    try:
+        report = wc.criterion_check(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(report.witness_cov - 14 * delta**4) <= 1e-12 * 14 * delta**4
+    assert abs(report.witness_norm - delta**2 / 2) <= 1e-12 * delta**2 / 2
+    assert peak < 300 * (n + 1)
+
+
 def rows_digest(result):
     return hashlib.sha256((repr(result.rows) + repr(result.budgets)).encode()).hexdigest()
 

@@ -59,6 +59,8 @@ def test_family_spec_validation():
     with pytest.raises(ValidationError):
         wc.FamilySpec("disjoint", (2, 2), (1, 1), theta=1.5)
     with pytest.raises(ValidationError):
+        wc.FamilySpec("disjoint", (2, 2), (1, 1), theta=True)  # bools are not weights
+    with pytest.raises(ValidationError):
         wc.FamilySpec("mixed_orders", (2, 2), (1, 1))  # needs q1 > q2
     with pytest.raises(ValidationError):
         wc.generate(wc.FamilySpec("disjoint", (2, 2), (1, 1)), 0)
@@ -335,6 +337,13 @@ def test_load_vector_rescales_with_warning():
     messages = [str(w.message) for w in caught]
     assert any("rescaled" in m and "group 1, element 1" in m for m in messages)
     assert abs(wc.variance(v.elements[0]) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("loader", [wc.load_kernel, load_raw, wc.load_vector])
+@pytest.mark.parametrize("source", [[], [1], None, 1.5])
+def test_loaders_reject_sources_that_are_neither_documents_nor_paths(loader, source):
+    with pytest.raises(InvalidKernelError, match="file path"):
+        loader(source)
 
 
 def test_load_vector_error_cases(tmp_path):

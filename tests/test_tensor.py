@@ -3,7 +3,9 @@
 Every sparse operation is replayed on the dense array it represents:
 symmetrization as an explicit average over axis permutations, contraction
 as np.tensordot over the trailing axes.  The sparse side must match to
-float accuracy entry by entry, not just in norm.
+float accuracy entry by entry, not just in norm.  A third oracle, the
+scalar dict-of-tuples calculus below, replays the array path term by term
+in the same order, so there the match is exact to the bit.
 """
 
 import itertools
@@ -12,8 +14,10 @@ import math
 import numpy as np
 import pytest
 
+from wienerchaos.chaos import ChaosElement
 from wienerchaos.exceptions import ResourceLimitError, ValidationError
 from wienerchaos.tensor import (
+    MAX_ORDER,
     HilbertSpace,
     RawTensor,
     SymmetricTensor,
@@ -42,6 +46,78 @@ def dense_contract(fd, gd, r):
     axes_f = list(range(fd.ndim - r, fd.ndim))
     axes_g = list(range(gd.ndim - r, gd.ndim))
     return np.tensordot(fd, gd, axes=(axes_f, axes_g))
+
+
+def _submultisets(occ, r):
+    """Yield (sub, rest) sorted-index pairs over distinct size-r sub-multisets."""
+    if r == 0:
+        rest = []
+        for coord, count in occ:
+            rest.extend([coord] * count)
+        yield (), tuple(rest)
+        return
+    if not occ:
+        return
+    coord, count = occ[0]
+    tail = occ[1:]
+    for take in range(min(count, r), -1, -1):
+        for sub, rest in _submultisets(tail, r - take):
+            yield (coord,) * take + sub, (coord,) * (count - take) + rest
+
+
+def _stored(acc):
+    """Sorted entries with exact zeros dropped, as the tensors keep them."""
+    return {key: acc[key] for key in sorted(acc) if acc[key] != 0.0}
+
+
+def dict_contract(f, g, r):
+    """Entries of f (x)_r g, one Python float term at a time: f entry, sub, then g entry."""
+    by_sub = {}
+    for kg, vg in g.items():
+        for sub, rest in _submultisets(occupation(kg), r):
+            by_sub.setdefault(sub, []).append((rest, vg))
+    out = {}
+    for kf, vf in f.items():
+        for sub, rest_f in _submultisets(occupation(kf), r):
+            weight = multiplicity(sub) * vf
+            for rest_g, vg in by_sub.get(sub, []):
+                key = (rest_f, rest_g)
+                out[key] = out.get(key, 0.0) + weight * vg
+    return _stored(out)
+
+
+def dict_raw_norm(entries):
+    total = 0.0
+    for (left, right), value in entries.items():
+        total += multiplicity(left) * multiplicity(right) * value * value
+    return math.sqrt(total)
+
+
+def dict_symmetrized(entries):
+    acc = {}
+    for (left, right), value in entries.items():
+        key = tuple(sorted(left + right))
+        acc[key] = acc.get(key, 0.0) + multiplicity(left) * multiplicity(right) * value
+    return _stored({key: value / multiplicity(key) for key, value in acc.items()})
+
+
+def dict_inner(f, g):
+    total = 0.0
+    for key in sorted(f.entries.keys() & g.entries.keys()):
+        total += multiplicity(key) * f.entries[key] * g.entries[key]
+    return total
+
+
+def dict_prepared(element):
+    coords, counts, offsets, coeffs = [], [], [0], []
+    for index, value in element.kernel.items():
+        for coord, count in occupation(index):
+            coords.append(coord - 1)
+            counts.append(count)
+        offsets.append(len(coords))
+        coeffs.append(float(math.factorial(element.order)) * value)
+    ints = [np.asarray(a, dtype=np.int64) for a in (coords, counts, offsets)]
+    return (*ints, np.asarray(coeffs, dtype=np.float64))
 
 
 def rand_tensor(rng, space, order, nnz=4):
@@ -103,6 +179,12 @@ def test_malformed_entries_raise_validation_error(build):
 def test_space_dimension_rejects_bool():
     with pytest.raises(ValidationError):
         HilbertSpace(True)
+
+
+def test_space_dimension_fits_the_int64_index_rows():
+    HilbertSpace(2**63 - 1)
+    with pytest.raises(ResourceLimitError):
+        HilbertSpace(2**63)
 
 
 def test_raw_tensor_rejects_non_finite_values():
@@ -326,3 +408,44 @@ def test_raw_norm_matches_dense():
         raw = contract(f, g, 1) if min(f.order, g.order) >= 1 else contract(f, g, 0)
         dense = raw.to_dense()
         assert abs(raw.norm() - float(np.sqrt(np.sum(dense * dense)))) < 1e-12
+
+
+def _same_entries(got, want):
+    # same keys in the same order, and every value equal to the bit
+    assert list(got.keys()) == list(want.keys())
+    assert np.array_equal(np.array(list(got.values())).view(np.int64), np.array(list(want.values())).view(np.int64))
+
+
+def test_array_calculus_matches_the_dict_oracle_bit_for_bit():
+    rng = np.random.default_rng(20)
+    cases = []
+    for _ in range(80):
+        space = HilbertSpace(int(rng.integers(1, 7)))
+        orders = rng.integers(0, 5, size=2)
+        cases.append([rand_tensor(rng, space, int(q), nnz=int(rng.integers(1, 9))) for q in orders])
+    # at order 20 the products multiplicity(left) * multiplicity(right) pass
+    # 2**53 and 2**63, so they must be exact integers rounded once
+    space = HilbertSpace(6)
+    cases.append([rand_tensor(rng, space, 20, nnz=3) for _ in range(2)])
+    cases.append([cases[-1][0], rand_tensor(rng, space, 11, nnz=3)])
+    for f, g in cases:
+        if f.order == g.order:
+            assert inner(f, g) == dict_inner(f, g)
+            assert f.norm() == math.sqrt(dict_inner(f, f))
+        for r in range(min(f.order, g.order) + 1):
+            raw = contract(f, g, r)
+            _same_entries(raw.entries, dict_contract(f, g, r))
+            assert raw.norm() == dict_raw_norm(raw.entries)
+            if raw.order > MAX_ORDER:
+                with pytest.raises(ResourceLimitError):
+                    raw.symmetrized()
+                continue
+            sym = raw.symmetrized()
+            _same_entries(sym.entries, dict_symmetrized(raw.entries))
+            assert contract_sym(f, g, r) == sym
+        for t in (f, g):
+            if t.order >= 1:
+                for got, want in zip(ChaosElement(t).prepared(), dict_prepared(ChaosElement(t))):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+    f, g = cases[-2]
+    assert max(multiplicity(left) * multiplicity(right) for left, right in contract(f, g, 0).entries) > 2**63
