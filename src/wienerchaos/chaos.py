@@ -232,12 +232,11 @@ def cov_squares_and_norms(left: ChaosElement, right: ChaosElement) -> tuple[floa
     total = 0.0
     norms = []
     for r in range(1, min(p, q) + 1):
-        raw = contract(left.kernel, right.kernel, r)
-        norm = raw.norm()
+        norm, sym = contract(left.kernel, right.kernel, r).norm_and_symmetrized()
         pairs = math.comb(p, r) * math.comb(q, r)
         total += pairs * (
             math.factorial(p) * math.factorial(q) * norm**2
-            + math.factorial(r) ** 2 * pairs * math.factorial(p + q - 2 * r) * raw.symmetrized().norm() ** 2
+            + math.factorial(r) ** 2 * pairs * math.factorial(p + q - 2 * r) * sym.norm() ** 2
         )
         norms.append(norm)
     return total, norms

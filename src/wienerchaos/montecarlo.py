@@ -1,12 +1,11 @@
 """Reproducible Gaussian sampling and block-means estimation.
 
-Sampling is counter based: block b of a batch draws from an independent
+Sampling is counter based: block b of a batch draws from its own
 Philox-4x64 stream keyed by (seed, b), so any block can be regenerated
-without the others and parallel evaluation cannot change the draws.
-Uniforms are mapped to normals through the inverse CDF; rejection-style
-generators are avoided because they consume a variable number of uniforms
-per normal.  Every serialized output carries GENERATOR_TAG so results are
-only ever compared within one generator version.
+without the others and parallel evaluation cannot change the draws, even
+though NumPy's ziggurat, which turns the stream into normals, takes a
+varying number of random words.  Every serialized output carries
+GENERATOR_TAG so results are only ever compared within one generator version.
 
 SampleBatch.map_blocks computes a per-block function on a small thread
 pool and yields the results in block order.  Each block's work is the same
@@ -24,11 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
 import numpy as np
-from scipy.special import ndtri
 
 from .exceptions import ResourceLimitError, ValidationError
 
-GENERATOR_TAG = "philox4x64-ndtri/1"
+GENERATOR_TAG = "philox4x64-ziggurat/2"
 
 # Default number of blocks a batch is split into; block means feed stderr.
 DEFAULT_BLOCKS = 64
@@ -37,8 +35,6 @@ DEFAULT_BLOCKS = 64
 MIN_BLOCKS = 30
 
 _MATERIALIZE_LIMIT = 1 << 26
-
-_HALF_ULP = 2.0**-54
 
 _T = TypeVar("_T")
 
@@ -60,18 +56,16 @@ _WORKERS = min(_usable_cpus(), 4)
 
 def _block_normals(seed: int, block: int, size: int, dimension: int) -> np.ndarray:
     bitgen = np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
-    uniforms = np.random.Generator(bitgen).random(size=(size, dimension), dtype=np.float64)
-    uniforms += _HALF_ULP
-    return ndtri(uniforms, out=uniforms)
+    return np.random.Generator(bitgen).standard_normal(size=(size, dimension))
 
 
 @dataclass(frozen=True)
 class SampleBatch:
     """Lazy matrix of standard-normal draws, materialized block by block.
 
-    Fields identify the draws completely: regenerating with equal
-    (seed, dimension, count, block_size) under the same GENERATOR_TAG
-    reproduces every entry bitwise.
+    Fields identify the draws completely: equal (seed, dimension, count,
+    block_size) reproduce every entry bitwise under the same GENERATOR_TAG
+    and NumPy version; NEP 19 does not fix Generator streams across versions.
     """
 
     seed: int

@@ -308,9 +308,14 @@ class RawTensor(_Table):
     def norm(self) -> float:
         return math.sqrt(_running_total(self._weights() * self.val))
 
-    @_float_ops
     def symmetrized(self) -> SymmetricTensor:
-        return _orbit_average(self.space, self.order, self.idx, self._weights())
+        return self.norm_and_symmetrized()[1]
+
+    @_float_ops
+    def norm_and_symmetrized(self) -> tuple[float, SymmetricTensor]:
+        """(norm(), symmetrized()), computing the multiplicities once for both."""
+        weights = self._weights()
+        return math.sqrt(_running_total(weights * self.val)), _orbit_average(self.space, self.order, self.idx, weights)
 
 
 RawLike = Union[SymmetricTensor, RawTensor, Mapping, np.ndarray]
@@ -393,6 +398,8 @@ def inner(f: SymmetricTensor, g: SymmetricTensor) -> float:
         raise ValidationError("inner product requires tensors over the same space")
     if f.order != g.order:
         raise ValidationError(f"inner product requires equal orders, got {f.order} and {g.order}")
+    if f is g:  # every row is shared, in order
+        return _running_total(_multiplicities(f.idx, (f.order,)) * f.val * f.val)
     _, group = _unique_rows(np.concatenate([f.idx, g.idx]))
     _, at_f, at_g = np.intersect1d(group[: len(f.val)], group[len(f.val) :], assume_unique=True, return_indices=True)
     return _running_total(_multiplicities(f.idx[at_f], (f.order,)) * f.val[at_f] * g.val[at_g])

@@ -95,7 +95,7 @@ def test_evaluate_bytes_are_pinned():
     vector = generate(FamilySpec("vanishing_overlap", (2, 2), (1, 1)), 32)
     block = sample(7, vector.space.dimension, 100_000).block(0)
     assert hashlib.sha256(evaluate(vector.groups[0][0], block).tobytes()).hexdigest() == (
-        "8d6385863af875fd94f6fdd1827ed83c71fc9fdefca8913fe8b0fe177eccdab0"
+        "52f42405c4c1e50442efb1bb7bb649402faa5f01d6231a2aa4de58125a95fb88"
     )
 
 

@@ -52,7 +52,7 @@ def test_contract_round_trip_and_norm(workdir, capsys):
     assert raw.entries == {((1,), (1,)): 1.0}
     meta = json.loads(Path("c.json").read_text())["meta"]
     assert meta["norm"] == 1.0
-    assert meta["generator"] == "philox4x64-ndtri/1"
+    assert meta["generator"] == "philox4x64-ziggurat/2"
     assert meta["config"]["subcommand"] == "contract"
 
 
@@ -254,7 +254,7 @@ def test_simulate_bytes_are_pinned(tmp_path, monkeypatch):
     wc.save_vector(wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 2), theta=0.5), 8), "m.json")
     assert main(["simulate", "m.json", "--samples", "3000", "--seed", "4", "--out", "s.csv"]) == 0
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == (
-        "d677d75d896d00e3dc3dfdf518f98ff6df6eb04e0ad8c1e1658378546907e3dc"
+        "d7147f33f8b473748be84770ad851bb7cf211faf7acde30c3fad6a75480a6830"
     )
 
 
@@ -269,6 +269,23 @@ def test_console_script_help_documents_formats():
         [sys.executable, "-m", "wienerchaos.cli", "--version"], capture_output=True, text=True
     )
     assert "wienerchaos 0.1.0" in version.stdout
+
+
+def test_commands_import_no_scipy(workdir):
+    # scipy is only a test dependency: an exact and a sampled command run in a
+    # fresh process, and afterwards no scipy module may be loaded
+    code = (
+        "import sys\n"
+        "from wienerchaos.cli import main\n"
+        "assert main(['check', 'disjoint.json', '--samples', '0', '--out', 'check.json']) == 0\n"
+        "assert main(['simulate', 'disjoint.json', '--samples', '3000', '--seed', '4', '--out', 's.csv']) == 0\n"
+        "print(sorted(name for name in sys.modules if name == 'scipy' or name.startswith('scipy.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(wc.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (workdir / "check.json").exists() and (workdir / "s.csv").exists()
 
 
 def test_usage_error_exit_code():

@@ -302,6 +302,19 @@ def test_inner_matches_dense():
     assert abs(inner(f, f) - f.norm() ** 2) < 1e-12
 
 
+def test_inner_of_a_tensor_with_itself_matches_the_general_path():
+    # inner(f, f) skips the row join; a copy of f is another object, so it
+    # takes the general path, and the two must agree bit for bit
+    rng = np.random.default_rng(13)
+    sp = HilbertSpace(5)
+    for order in range(5):
+        for trial in range(10):
+            f = rand_tensor(rng, sp, order, nnz=int(rng.integers(1, 12)))
+            copy = SymmetricTensor(sp, order, dict(f.items()))
+            assert copy is not f and copy == f
+            assert inner(f, f) == inner(f, copy)
+
+
 def test_contract_worked_example():
     sp = HilbertSpace(3)
     f = SymmetricTensor(sp, 2, {(1, 2): 1.0})
@@ -442,6 +455,7 @@ def test_array_calculus_matches_the_dict_oracle_bit_for_bit():
                 continue
             sym = raw.symmetrized()
             _same_entries(sym.entries, dict_symmetrized(raw.entries))
+            assert raw.norm_and_symmetrized() == (raw.norm(), sym)
             assert contract_sym(f, g, r) == sym
         for t in (f, g):
             if t.order >= 1:
