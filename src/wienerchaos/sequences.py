@@ -27,13 +27,15 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+
+import numpy as np
 
 from .chaos import STANDARDIZED_TOL, ChaosElement, variance
 from .exceptions import DegenerateInputError, InvalidKernelError, ValidationError
 from .independence import ChaosVector
-from .tensor import HilbertSpace, RawTensor, SymmetricTensor, _arrays, _check_index
+from .tensor import HilbertSpace, RawTensor, SymmetricTensor, _checked_rows
 
 FAMILIES = ("disjoint", "vanishing_overlap", "persistent_overlap", "mixed_orders")
 
@@ -78,29 +80,25 @@ class FamilySpec:
                 )
 
 
+def _diagonal_element(space: HilbertSpace, q: int, first: int, count: int, body: float, tip: float) -> ChaosElement:
+    """body on the q-th tensor power of coordinates first..first+count-1, tip on that of the shared last one."""
+    diagonal = np.append(np.arange(first, first + count, dtype=np.int64), space.dimension)
+    values = np.append(np.full(count, body), tip)
+    return ChaosElement(SymmetricTensor._of(space, (q,), np.repeat(diagonal[:, None], q, axis=1), values))
+
+
 def _blocked_vector(spec: FamilySpec, n: int, delta: float) -> ChaosVector:
     # d blocks of n coordinates plus one shared coordinate at the end.
     d = len(spec.orders)
     space = HilbertSpace(d * n + 1)
-    shared = d * n + 1
     groups = []
     for j, (q, m) in enumerate(zip(spec.orders, spec.sizes)):
         if n < m:
             raise ValidationError(f"group {j + 1} needs n >= {m} coordinates per element, got n={n}")
         width = n // m
-        base = j * n
-        elements = []
         body = math.sqrt((1.0 - delta * delta) / (width * math.factorial(q)))
         tip = delta / math.sqrt(math.factorial(q))
-        for k in range(m):
-            start = base + k * width + 1
-            entries = {(c,) * q: body for c in range(start, start + width)}
-            if tip != 0.0:
-                entries[(shared,) * q] = tip
-            if not entries:
-                raise DegenerateInputError("persistent element has no mass; theta produced a zero kernel")
-            elements.append(ChaosElement(SymmetricTensor(space, q, entries)))
-        groups.append(elements)
+        groups.append([_diagonal_element(space, q, j * n + k * width + 1, width, body, tip) for k in range(m)])
     return ChaosVector(groups)
 
 
@@ -121,22 +119,12 @@ def generate(spec: FamilySpec, n: int) -> ChaosVector:
     # persistent_overlap: one coordinate per element plus the shared one.
     total = sum(spec.sizes)
     space = HilbertSpace(total + 1)
-    shared = total + 1
     groups = []
-    position = 0
+    coordinates = iter(range(1, total + 1))
     for q, m in zip(spec.orders, spec.sizes):
         body = math.sqrt((1.0 - spec.theta**2) / math.factorial(q))
         tip = spec.theta / math.sqrt(math.factorial(q))
-        elements = []
-        for _ in range(m):
-            position += 1
-            entries = {(position,) * q: body}
-            if tip != 0.0:
-                entries[(shared,) * q] = tip
-            if not entries:
-                raise DegenerateInputError("persistent element has no mass; theta produced a zero kernel")
-            elements.append(ChaosElement(SymmetricTensor(space, q, entries)))
-        groups.append(elements)
+        groups.append([_diagonal_element(space, q, next(coordinates), 1, body, tip) for _ in range(m)])
     return ChaosVector(groups)
 
 
@@ -185,67 +173,57 @@ def write_atomic(text: str | Iterable[str], path: str) -> None:
         raise
 
 
-def _read_json(path: str):
-    if not isinstance(path, (str, os.PathLike)):
-        raise InvalidKernelError(f"expected a JSON document or a file path, got {type(path).__name__}")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as error:
-        raise InvalidKernelError(f"{path}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise InvalidKernelError(f"{path}: not valid JSON ({error})") from error
+def _read_json(source, where: str) -> tuple[Mapping, str]:
+    """The JSON object given as `source` or read from the file at that path, and the label for its messages."""
+    if not isinstance(source, Mapping):
+        if not isinstance(source, (str, os.PathLike)):
+            raise InvalidKernelError(f"expected a JSON document or a file path, got {type(source).__name__}")
+        where = str(source)
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                source = json.load(handle)
+        except OSError as error:
+            raise InvalidKernelError(f"{where}: {error}") from error
+        except json.JSONDecodeError as error:
+            raise InvalidKernelError(f"{where}: not valid JSON ({error})") from error
+    if not isinstance(source, Mapping):
+        raise InvalidKernelError(f"{where}: document must be a JSON object")
+    return source, where
 
 
 def _parse_table(document, where: str, kind: type):
     """Check a kernel (kind SymmetricTensor) or raw (RawTensor) document, or the file at that path, and build it.
 
-    Each index goes through the tensor module's index check once, labelled with
-    its entry number; the tensor is then built without checking it again.
+    The entries go through the tensor module's entry check once, labelled with
+    their entry number; the tensor is then built without checking them again.
     """
     sides = _SIDES[kind]
-    if not isinstance(document, Mapping):
-        document, where = _read_json(document), str(document)
-    if not isinstance(document, Mapping):
-        raise InvalidKernelError(f"{where}: document must be a JSON object")
+    document, where = _read_json(document, where)
     for key in ("dimension", *sides.values(), "entries"):
         if key not in document:
             raise InvalidKernelError(f"{where}: missing required key {key!r}")
     dimension = document["dimension"]
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise InvalidKernelError(f"{where}: dimension must be a positive integer, got {dimension!r}")
-    orders = [document[key] for key in sides.values()]
+    orders = tuple(document[key] for key in sides.values())
     for key, order in zip(sides.values(), orders):
         if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise InvalidKernelError(f"{where}: {key} must be a non-negative integer, got {order!r}")
     raw_entries = document["entries"]
     if not isinstance(raw_entries, list):
         raise InvalidKernelError(f"{where}: entries must be a list")
-    fields = [*sides, "value"]
-    shape = ", ".join(f'"{name}"' for name in fields[:-1]) + f' and "{fields[-1]}"'
-    entries: dict = {}
-    for position, entry in enumerate(raw_entries):
-        label = f"{where}: entry {position + 1}"
-        if not isinstance(entry, Mapping) or set(entry) != set(fields):
-            raise InvalidKernelError(f"{label} must be an object with exactly {shape}")
-        key = []
-        for name, order in zip(sides, orders):
-            side = entry[name]
-            if not isinstance(side, list) or any(not isinstance(i, int) or isinstance(i, bool) for i in side):
-                raise InvalidKernelError(f"{label}: {name} must be a list of integers, got {side!r}")
-            try:
-                _check_index(side, order, dimension, name)
-            except ValidationError as error:
-                raise InvalidKernelError(f"{label}: {error}") from None
-            key.append(tuple(side))
-        key = key[0] if len(key) == 1 else tuple(key)
-        value = entry["value"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-            raise InvalidKernelError(f"{label}: value {value!r} is not a finite number")
-        if key in entries:
-            raise InvalidKernelError(f"{label}: duplicate index {', '.join(str(entry[name]) for name in sides)}")
-        entries[key] = float(value)
-    return kind._of(HilbertSpace(dimension), tuple(orders), *_arrays(entries, tuple(orders)))
+    fields, shaped = frozenset((*sides, "value")), len(raw_entries)
+    if not (set(map(type, raw_entries)) <= {dict} and set(map(frozenset, raw_entries)) <= {fields}):
+        odd = (k for k, entry in enumerate(raw_entries) if not isinstance(entry, Mapping) or entry.keys() != fields)
+        shaped = next(odd, shaped)
+    entries = raw_entries[:shaped]
+    indices, values = [[entry[name] for entry in entries] for name in sides], [entry["value"] for entry in entries]
+    space = HilbertSpace(dimension)  # first: the rows it bounds are int64
+    rows = _checked_rows(indices, values, orders, space.dimension, tuple(sides), where=where)
+    if shaped < len(raw_entries):  # the entries before it were checked first
+        shape = ", ".join(f'"{name}"' for name in sides) + ' and "value"'
+        raise InvalidKernelError(f"{where}: entry {shaped + 1} must be an object with exactly {shape}")
+    return kind._of(space, orders, *rows)
 
 
 def save_kernel(tensor: SymmetricTensor, path: str) -> None:
@@ -303,16 +281,8 @@ def load_vector(source: str | Mapping) -> ChaosVector:
     rescaled; a warning fires when the rescale factor strays from one by
     more than 1e-6, since that usually means the file was edited by hand.
     """
-    base_dir = "."
-    where = "vector"
-    if isinstance(source, Mapping):
-        document = source
-    else:
-        document = _read_json(source)
-        where = str(source)
-        base_dir = os.path.dirname(os.path.abspath(source))
-    if not isinstance(document, Mapping):
-        raise InvalidKernelError(f"{where}: manifest must be a JSON object")
+    document, where = _read_json(source, "vector")
+    base_dir = "." if isinstance(source, Mapping) else os.path.dirname(os.path.abspath(source))
     if "groups" not in document or not isinstance(document["groups"], list) or not document["groups"]:
         raise InvalidKernelError(f"{where}: manifest needs a non-empty groups list")
     dimension = document.get("dimension")
@@ -335,11 +305,10 @@ def load_vector(source: str | Mapping) -> ChaosVector:
         for e, element_doc in enumerate(element_docs):
             spot = f"{label}, element {e + 1}"
             if isinstance(element_doc, str):
-                kernel = load_kernel(os.path.join(base_dir, element_doc))
-            elif isinstance(element_doc, Mapping):
-                kernel = _parse_table(element_doc, spot, SymmetricTensor)
-            else:
+                element_doc = os.path.join(base_dir, element_doc)
+            elif not isinstance(element_doc, Mapping):
                 raise InvalidKernelError(f"{spot}: element must be a path or an inline kernel")
+            kernel = _parse_table(element_doc, spot, SymmetricTensor)
             if kernel.order != order:
                 raise InvalidKernelError(
                     f"{spot}: kernel order {kernel.order} does not match group order {order}"

@@ -14,10 +14,10 @@ the f entries behind its terms.  np.cumsum and np.bincount add that way;
 np.sum adds pairwise and would move bits.  Orbit sizes are exact integers,
 rounded to float once per term.
 
-Indices are checked once, where entries enter: by _check_index in the public
-constructors, in symmetrize on a mapping, and in the loaders.  Results built
-inside the package skip it; every tensor still gets sorted rows, finite
-values and no exact zeros.
+Entries are checked once, where they enter: _checked_rows checks the keys and
+values of the public constructors, of symmetrize on a mapping and of the
+loaders as whole arrays.  Results built inside the package skip it; every
+tensor still gets sorted rows, finite values and no exact zeros.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .exceptions import ResourceLimitError, ValidationError
+from .exceptions import InvalidKernelError, ResourceLimitError, ValidationError
 
 # Exact integer multiplicity arithmetic is guaranteed up to this order.
 MAX_ORDER = 20
@@ -87,32 +87,67 @@ def _check_order(*orders) -> None:
             raise ResourceLimitError(f"order {order} exceeds the exact-arithmetic limit {MAX_ORDER}")
 
 
-def _check_index(index, order: int, dimension: int, name: str = "index", ascending: bool = True) -> None:
-    """Check one index from outside the package: `order` ints (not bools) in
-    1..dimension, ascending unless `ascending` is False.  Loaders pass the JSON
-    list as read, so that their messages show the index as the file wrote it.
+def _real(value) -> float:
+    """value as a float; nan for a bool, a non-real, or a real too large for a float."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        return math.nan
+
+
+def _checked_rows(sides, values, orders, dimension, names=("index",), ascending=True, where=None):
+    """Check entries from outside the package as whole arrays; return their rows sorted, with float64 values.
+
+    sides[s][k] is entry k's index on side s (`names[s]`, length `orders[s]`), a list or tuple as given,
+    and values[k] its value; `dimension` is a HilbertSpace's, so in-range coordinates fit int64.  The
+    rules, in order: each index holds ints, not bools, has its side's length, lies in 1..dimension and
+    ascends (unless `ascending` is False); each value is a real number, not a bool, finite as a float; no
+    row repeats an earlier one.  The first offending entry raises for the first rule it breaks:
+    ValidationError, or InvalidKernelError "{where}: entry k: ..." from a document.  Later rules see an
+    entry that broke an earlier one through a stand-in, so only the first rule it breaks is reported.
     """
-    if not isinstance(index, (tuple, list)) or any(not isinstance(i, int) or isinstance(i, bool) for i in index):
-        raise ValidationError(f"{name} {index!r} must be a tuple of integers")
-    if len(index) != order:
-        raise ValidationError(f"{name} {index!r} has length {len(index)}, expected {order}")
-    if any(not 1 <= i <= dimension for i in index):
-        raise ValidationError(f"{name} {index!r} leaves the range 1..{dimension}")
-    if ascending and any(a > b for a, b in zip(index, index[1:])):
-        raise ValidationError(f"{name} {index!r} is not sorted ascending")
+    _check_order(*orders)
+    count = len(values)
+    broken = []  # (entries that break a rule, its message for entry k), in rule order
 
+    def side_rows(name, given, order):
+        side = given
+        if not (set(map(type, side)) <= {list, tuple} and set(map(type, itertools.chain(*side))) <= {int}):
+            typed = [isinstance(i, (list, tuple)) and all(isinstance(c, int) and type(c) is not bool for c in i)
+                     for i in side]
+            broken.append((np.logical_not(typed), lambda k: f"{name} {given[k]!r} must be a tuple of integers"))
+            side = [i if ok else () for i, ok in zip(side, typed)]
+        wrong = np.fromiter(map(len, side), dtype=np.intp, count=count) != order
+        broken.append((wrong, lambda k: f"{name} {given[k]!r} has length {len(given[k])}, expected {order}"))
+        if wrong.any():
+            side = [i if len(i) == order else (1,) * order for i in side]
+        inside = [c if 0 < c <= dimension else 0 for c in itertools.chain(*side)]  # 0 also stands for c beyond int64
+        rows = np.array(inside, dtype=np.int64).reshape(count, order)
+        broken.append(((rows == 0).any(axis=1), lambda k: f"{name} {given[k]!r} leaves the range 1..{dimension}"))
+        if ascending:
+            unsorted = (rows[:, 1:] < rows[:, :-1]).any(axis=1)
+            broken.append((unsorted, lambda k: f"{name} {given[k]!r} is not sorted ascending"))
+        return rows
 
-def _check_value(key, value) -> None:
-    if not isinstance(value, numbers.Real):
-        raise ValidationError(f"entry {key!r} has value {value!r}, not a real number")
+    def shown(k):
+        return ", ".join(f"{name} {side[k]!r}" for name, side in zip(names, sides))
 
-
-def _arrays(entries: Mapping, orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and float values of {key: value} entries in sorted key order (RawTensor keys are pairs)."""
-    keys = sorted(entries)
-    rows = [key if len(orders) == 1 else key[0] + key[1] for key in keys]
-    values = np.array([float(entries[key]) for key in keys], dtype=np.float64)
-    return np.array(rows, dtype=np.int64).reshape(len(keys), sum(orders)), values
+    rows = np.hstack([side_rows(*side) for side in zip(names, sides, orders)])
+    fast = set(map(type, values)) <= {float}
+    val = np.array(values, dtype=np.float64) if fast else np.fromiter(map(_real, values), np.float64, count)
+    broken.append((~np.isfinite(val), lambda k: f"{shown(k)} has value {values[k]!r}, not a finite number"))
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(count)  # stable: a row's first entry comes first
+    repeated = np.zeros(count, dtype=bool)
+    repeated[order[1:][(rows[order[1:]] == rows[order[:-1]]).all(axis=1)]] = True
+    broken.append((repeated, lambda k: f"duplicate {shown(k)}"))
+    bad = np.logical_or.reduce([failing for failing, _ in broken])
+    if bad.any():
+        k = int(np.argmax(bad))
+        message = next(message for failing, message in broken if failing[k])(k)
+        if where is None:
+            raise ValidationError(message)
+        raise InvalidKernelError(f"{where}: entry {k + 1}: {message}")
+    return rows[order], val[order]
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,18 +259,14 @@ class SymmetricTensor(_Table):
     entries : mapping
         Sorted multi-index (1-based tuple of length q) -> coefficient.
         Exact zeros are dropped; unsorted or out-of-range indices and
-        values that are not finite real numbers raise ValidationError.
+        values that are bools or not finite real numbers raise ValidationError.
     """
 
     __slots__ = ("order",)
     _ORDERS = ("order",)
 
     def __init__(self, space: HilbertSpace, order: int, entries: Mapping[Index, float]):
-        _check_order(order)
-        for index, value in entries.items():
-            _check_index(index, order, space.dimension)
-            _check_value(index, value)
-        self._set(space, (order,), *_arrays(entries, (order,)))
+        self._set(space, (order,), *_checked_rows([list(entries)], list(entries.values()), (order,), space.dimension))
 
     _key = staticmethod(tuple)
 
@@ -280,14 +311,14 @@ class RawTensor(_Table):
     def __init__(
         self, space: HilbertSpace, left_order: int, right_order: int, entries: Mapping[tuple[Index, Index], float]
     ):
-        _check_order(left_order, right_order)
-        for key, value in entries.items():
-            if not isinstance(key, tuple) or len(key) != 2:
-                raise ValidationError(f"raw key {key!r} must be a (left, right) pair of indices")
-            _check_index(key[0], left_order, space.dimension, "left index")
-            _check_index(key[1], right_order, space.dimension, "right index")
-            _check_value(key, value)
-        self._set(space, (left_order, right_order), *_arrays(entries, (left_order, right_order)))
+        orders, keys = (left_order, right_order), list(entries)
+        paired = next((k for k, key in enumerate(keys) if not isinstance(key, tuple) or len(key) != 2), len(keys))
+        sides = [[key[s] for key in keys[:paired]] for s in (0, 1)]
+        values = list(entries.values())[:paired]
+        rows = _checked_rows(sides, values, orders, space.dimension, ("left index", "right index"))
+        if paired < len(keys):  # the entries before it were checked first
+            raise ValidationError(f"raw key {keys[paired]!r} must be a (left, right) pair of indices")
+        self._set(space, orders, *rows)
 
     def _key(self, row: list) -> tuple[Index, Index]:
         return tuple(row[: self.left_order]), tuple(row[self.left_order :])
@@ -373,10 +404,8 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
             if not raw:
                 raise ValidationError("cannot infer order from an empty mapping")
             order = next((len(key) for key in raw if isinstance(key, tuple)), 0)
-        for key, value in raw.items():
-            _check_index(key, order, space.dimension, "raw index", ascending=False)
-            _check_value(key, value)
-        return _orbit_average(space, order, *_arrays(raw, (order,)))
+        rows = _checked_rows([list(raw)], list(raw.values()), (order,), space.dimension, ("raw index",), False)
+        return _orbit_average(space, order, *rows)
     raise ValidationError(f"cannot symmetrize object of type {type(raw).__name__}")
 
 

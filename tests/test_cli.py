@@ -235,17 +235,31 @@ def test_failed_run_leaves_no_output_file(workdir):
     assert not os.path.exists("never.csv.tmp")
 
 
-def test_cli_imports_no_private_names():
-    # the CLI is a shell over the public API: no "from .module import _name"
-    tree = ast.parse(Path(wc.__file__).with_name("cli.py").read_text())
-    private = [
+def _private_imports(module: str) -> list:
+    tree = ast.parse(Path(wc.__file__).with_name(f"{module}.py").read_text())
+    return [
         f"{node.module}.{alias.name}"
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level > 0
         for alias in node.names
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
-    assert private == []
+
+
+def test_cli_imports_no_private_names():
+    # the CLI is a shell over the public API: no "from .module import _name"
+    assert _private_imports("cli") == []
+    # the loaders check entries with the tensor module's one entry check, and nothing else private from it
+    assert [name for name in _private_imports("sequences") if name.startswith("tensor.")] == ["tensor._checked_rows"]
+
+
+def test_value_too_large_for_a_float_exits_2(workdir, capsys):
+    # an integer beyond the float range is rejected as a malformed entry, not a traceback
+    Path("big.json").write_text('{"dimension": 2, "order": 1, "entries": [{"index": [1], "value": 1%s}]}' % ("0" * 400))
+    wc.save_kernel(SymmetricTensor(HilbertSpace(2), 1, {(2,): 1.0}), "one.json")
+    assert main(["contract", "big.json", "one.json", "--r", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "entry 1" in err and "not a finite number" in err
 
 
 def test_simulate_bytes_are_pinned(tmp_path, monkeypatch):

@@ -170,6 +170,50 @@ def test_theta_one_at_n_one_is_pure_shared():
         assert abs(wc.variance(element) - 1.0) < 1e-14
 
 
+def _entrywise_vector(spec, n):
+    """The family built entry by entry through the public constructor: the reference for generate."""
+    if spec.family == "persistent_overlap":
+        shared = sum(spec.sizes) + 1
+        coordinates = iter(range(1, shared))
+        slices = [[[next(coordinates)] for _ in range(m)] for m in spec.sizes]
+        weights = [(math.sqrt((1.0 - spec.theta**2) / math.factorial(q)), spec.theta / math.sqrt(math.factorial(q)))
+                   for q in spec.orders]
+    else:
+        shared = len(spec.orders) * n + 1
+        delta = 0.0 if spec.family == "disjoint" else spec.theta * n**-0.25
+        slices = [[range(j * n + k * (n // m) + 1, j * n + (k + 1) * (n // m) + 1) for k in range(m)]
+                  for j, m in enumerate(spec.sizes)]
+        weights = [(math.sqrt((1.0 - delta * delta) / ((n // m) * math.factorial(q))), delta / math.sqrt(math.factorial(q)))
+                   for q, m in zip(spec.orders, spec.sizes)]
+    groups = []
+    for q, group, (body, tip) in zip(spec.orders, slices, weights):
+        elements = []
+        for coordinates in group:
+            entries = {(c,) * q: body for c in coordinates}
+            if tip != 0.0:
+                entries[(shared,) * q] = tip
+            elements.append(SymmetricTensor(HilbertSpace(shared), q, entries))
+        groups.append(elements)
+    return groups
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "family, orders, sizes",
+    [
+        ("disjoint", (2, 2), (1, 2)),
+        ("vanishing_overlap", (2, 2, 1), (2, 1, 3)),
+        ("persistent_overlap", (3, 2), (2, 3)),
+        ("mixed_orders", (3, 2), (1, 2)),
+    ],
+)
+def test_generate_equals_the_entrywise_construction(family, orders, sizes, theta):
+    spec = wc.FamilySpec(family, orders, sizes, theta=theta)
+    for n in (3, 4, 17, 64):
+        got = [[element.kernel for element in group] for group in wc.generate(spec, n).groups]
+        assert got == _entrywise_vector(spec, n)
+
+
 def test_generate_slices_block_coordinates():
     v = wc.generate(wc.FamilySpec("disjoint", (2, 2), (2, 2)), 6)
     # group 1 occupies coordinates 1..6, group 2 occupies 7..12, three per element
@@ -259,6 +303,136 @@ def test_load_kernel_error_cases(tmp_path):
     with pytest.raises(InvalidKernelError) as err:
         wc.load_kernel(bad)
     assert "bad.json" in str(err.value)
+
+
+# Each rule of the one entry check, as (order-2 index, value) over N = 2, with the message it gives.
+ENTRY_RULES = {
+    "non-int": ((1, 1.5), 1.0, "must be a tuple of integers"),
+    "bool-index": ((True, 2), 1.0, "must be a tuple of integers"),
+    "length": ((1,), 1.0, "has length 1, expected 2"),
+    "range": ((1, 3), 1.0, "leaves the range 1..2"),
+    "huge-int-index": ((1, 2**70), 1.0, "leaves the range 1..2"),
+    "unsorted": ((2, 1), 1.0, "not sorted ascending"),
+    "string-value": ((1, 2), "x", "not a finite number"),
+    "bool-value": ((1, 2), True, "not a finite number"),
+    "non-finite": ((1, 2), math.inf, "not a finite number"),
+    "huge-int-value": ((1, 2), 10**400, "not a finite number"),
+}
+
+
+@pytest.mark.parametrize("rule", ENTRY_RULES)
+def test_each_entry_rule_holds_at_every_entry_point(rule):
+    index, value, fragment = ENTRY_RULES[rule]
+    sp = HilbertSpace(2)
+    builders = [
+        lambda: SymmetricTensor(sp, 2, {(1, 1): 0.5, index: value}),
+        lambda: RawTensor(sp, 2, 1, {((1, 1), (1,)): 0.5, (index, (2,)): value}),
+        lambda: wc.symmetrize({(1, 1): 0.5, index: value}, sp, 2),
+    ]
+    if rule == "unsorted":  # symmetrize takes full indices in any order
+        assert builders.pop()().entries == {(1, 1): 0.5, (1, 2): 0.5}
+    for build in builders:
+        with pytest.raises(ValidationError, match=fragment):
+            build()
+    kernel = {"dimension": 2, "order": 2, "entries": [{"index": [1, 1], "value": 0.5}]}
+    kernel["entries"].append({"index": list(index), "value": value})
+    raw = {"dimension": 2, "left_order": 2, "right_order": 1, "entries": [{"left": [1, 1], "right": [1], "value": 0.5}]}
+    raw["entries"].append({"left": list(index), "right": [2], "value": value})
+    for load, document in ((wc.load_kernel, kernel), (load_raw, raw)):
+        with pytest.raises(InvalidKernelError, match=f"entry 2: .*{fragment}"):
+            load(document)
+
+
+def test_loaders_reject_a_repeated_row():
+    kernel = {"dimension": 2, "order": 2, "entries": [{"index": [1, 2], "value": v} for v in (1.0, 2.0)]}
+    with pytest.raises(InvalidKernelError, match=r"kernel: entry 2: duplicate index \[1, 2\]"):
+        wc.load_kernel(kernel)
+    raw = {"dimension": 2, "left_order": 1, "right_order": 0,
+           "entries": [{"left": [1], "right": [], "value": v} for v in (1.0, 2.0)]}
+    with pytest.raises(InvalidKernelError, match=r"raw tensor: entry 2: duplicate left \[1\], right \[\]"):
+        load_raw(raw)
+
+
+def test_the_first_offending_entry_is_reported():
+    # entry 2 is unsorted, entry 4 out of range, entry 5 repeats entry 1
+    entries = [{"index": i, "value": 1.0} for i in ([1, 1], [2, 1], [1, 2], [1, 3], [1, 1])]
+
+    def message():
+        with pytest.raises(InvalidKernelError) as err:
+            wc.load_kernel({"dimension": 2, "order": 2, "entries": entries})
+        return str(err.value)
+
+    assert message() == "kernel: entry 2: index [2, 1] is not sorted ascending"
+    entries[3]["index"] = [3, 1]  # out of range and unsorted: the range rule comes first
+    assert message() == "kernel: entry 2: index [2, 1] is not sorted ascending"
+    entries[1]["index"] = [2, 2]
+    assert message() == "kernel: entry 4: index [3, 1] leaves the range 1..2"
+    entries[3]["index"] = [1, 2]
+    assert message() == "kernel: entry 4: duplicate index [1, 2]"
+    # a misshapen entry after an offending one does not hide it
+    entries[1]["index"], entries[2] = [2, 1], {"index": [1, 2]}
+    assert message() == "kernel: entry 2: index [2, 1] is not sorted ascending"
+    entries[1]["index"] = [2, 2]
+    assert message() == 'kernel: entry 3 must be an object with exactly "index" and "value"'
+    with pytest.raises(ValidationError, match=r"^index \(2, 1\) is not sorted ascending$"):
+        SymmetricTensor(HilbertSpace(2), 2, {(1, 1): 1.0, (2, 1): 1.0, (1, 3): 1.0})
+
+
+def _first_offence(indices, values, order, dimension):
+    """(entry, message fragment) of the first rule broken, entry by entry: the reference for the array check."""
+    seen = set()
+    for k, (index, value) in enumerate(zip(indices, values)):
+        if not isinstance(index, list) or any(not isinstance(c, int) or isinstance(c, bool) for c in index):
+            return k, "must be a tuple of integers"
+        if len(index) != order:
+            return k, "has length"
+        if any(not 1 <= c <= dimension for c in index):
+            return k, "leaves the range"
+        if any(a > b for a, b in zip(index, index[1:])):
+            return k, "is not sorted ascending"
+        try:
+            finite = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            return k, "not a finite number"
+        if tuple(index) in seen:
+            return k, "duplicate"
+        seen.add(tuple(index))
+    return None
+
+
+def test_the_array_check_matches_an_entry_by_entry_reference():
+    rng = np.random.default_rng(12)
+    odd_coordinates = [0, 4, -1, 2**70, 1.0, True, "1"]
+    odd_values = [True, "x", None, math.nan, -math.inf, 10**400, [1.0]]
+    for _ in range(400):
+        order, dimension = int(rng.integers(0, 5)), int(rng.integers(1, 7))
+        indices, values = [], []
+        for _ in range(int(rng.integers(0, 7))):
+            index = sorted(int(c) for c in rng.integers(1, dimension + 1, order))
+            roll = rng.random()
+            if roll < 0.05:
+                index = index[:-1] if index else [1]
+            elif roll < 0.1:
+                index = [index[i] for i in rng.permutation(order)]
+            elif roll < 0.15 and index:
+                index[int(rng.integers(len(index)))] = odd_coordinates[int(rng.integers(len(odd_coordinates)))]
+            elif roll < 0.17:
+                index = "12"
+            indices.append(index)
+            values.append(odd_values[int(rng.integers(len(odd_values)))] if rng.random() < 0.05 else float(rng.normal()))
+        document = {"dimension": dimension, "order": order,
+                    "entries": [{"index": i, "value": v} for i, v in zip(indices, values)]}
+        offence = _first_offence(indices, values, order, dimension)
+        if offence is None:
+            kernel = wc.load_kernel(document)
+            assert kernel == SymmetricTensor(HilbertSpace(dimension), order, dict(zip(map(tuple, indices), values)))
+            continue
+        with pytest.raises(InvalidKernelError) as err:
+            wc.load_kernel(document)
+        k, fragment = offence
+        assert str(err.value).startswith(f"kernel: entry {k + 1}: ") and fragment in str(err.value), (document, offence)
 
 
 def test_raw_round_trip(tmp_path):
@@ -409,31 +583,33 @@ def test_seventeen_digit_floats_survive():
         assert back.entries[(1,)] == value, value
 
 
-def _count_index_checks(monkeypatch) -> list:
-    """Record every call of the one index check, from the tensor module or a loader."""
+def _count_entry_checks(monkeypatch) -> list:
+    """Record the entry count of every call of the one entry check, from the tensor module or a loader."""
     calls = []
-    check = tensor._check_index
+    check = tensor._checked_rows
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return check(*args, **kwargs)
+    def counting(sides, values, *args, **kwargs):
+        calls.append(len(values))
+        return check(sides, values, *args, **kwargs)
 
-    monkeypatch.setattr(tensor, "_check_index", counting)
-    monkeypatch.setattr(sequences, "_check_index", counting)
+    monkeypatch.setattr(tensor, "_checked_rows", counting)
+    monkeypatch.setattr(sequences, "_checked_rows", counting)
     return calls
 
 
 @pytest.mark.parametrize("family, orders, n", [("vanishing_overlap", (2, 2), 256), ("mixed_orders", (3, 2), 128)])
 def test_criterion_check_does_not_recheck_indices(monkeypatch, family, orders, n):
-    vector = wc.generate(wc.FamilySpec(family, orders, (1, 1)), n)
-    calls = _count_index_checks(monkeypatch)
-    wc.criterion_check(vector)
+    # generated kernels are package-built, so neither generate nor the criterion checks an entry
+    calls = _count_entry_checks(monkeypatch)
+    wc.criterion_check(wc.generate(wc.FamilySpec(family, orders, (1, 1)), n))
     assert calls == []
 
 
 def test_load_vector_checks_each_index_once(monkeypatch):
+    # one whole-array check per kernel, covering each of its entries
     vector = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1)), 256)
     document = json.loads(vector_document(vector))
-    calls = _count_index_checks(monkeypatch)
+    calls = _count_entry_checks(monkeypatch)
     loaded = wc.load_vector(document)
-    assert len(calls) == 514 == sum(len(element.kernel.entries) for element in loaded.elements)
+    assert calls == [len(element.kernel.entries) for element in loaded.elements]
+    assert sum(calls) == 514
