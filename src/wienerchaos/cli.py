@@ -239,17 +239,22 @@ def cmd_simulate(args) -> int:
     elements = vector.elements
     columns = ("sample",) + tuple(f"F{i + 1}" for i in range(len(elements)))
     header = "\n".join(_comment_header(config, args.seed) + [",".join(columns)]) + "\n"
-    # one template per row, and one string per block; "{:.17g}" of a Python
-    # float is format_float's text
-    template = ",".join(["{}"] + ["{:.17g}"] * len(elements)) + "\n"
+    # one % operation per block on the flattened (number, values...) cells;
+    # "%.17g" of a Python float is format_float's text
+    width = len(elements) + 1
+    template = "%d" + ",%.17g" * len(elements) + "\n"
 
     def chunks() -> Iterator[str]:
         yield header
         position = 0
         for values in batch.map_blocks(lambda block: [evaluate(e, block).tolist() for e in elements]):
-            rows = enumerate(zip(*values), position + 1)
-            yield "".join(template.format(i, *row) for i, row in rows)
-            position += len(values[0])
+            rows = len(values[0])
+            cells = [None] * (rows * width)
+            cells[::width] = range(position + 1, position + rows + 1)
+            for k, column in enumerate(values, 1):
+                cells[k::width] = column
+            yield template * rows % tuple(cells)
+            position += rows
 
     _emit(chunks(), args.out)
     return 0

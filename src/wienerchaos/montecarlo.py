@@ -74,13 +74,13 @@ class SampleBatch:
     block_size: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if not isinstance(self.dimension, int) or self.dimension < 1:
+        if not isinstance(self.dimension, int) or isinstance(self.dimension, bool) or self.dimension < 1:
             raise ValidationError(f"dimension must be a positive integer, got {self.dimension!r}")
-        if not isinstance(self.count, int) or self.count < 1:
+        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
             raise ValidationError(f"count must be a positive integer, got {self.count!r}")
-        if not isinstance(self.block_size, int) or self.block_size < 1:
+        if not isinstance(self.block_size, int) or isinstance(self.block_size, bool) or self.block_size < 1:
             raise ValidationError(f"block_size must be a positive integer, got {self.block_size!r}")
 
     @property

@@ -65,11 +65,11 @@ class FamilySpec:
             raise ValidationError("a family needs at least two groups")
         if len(sizes) != len(orders):
             raise ValidationError(f"got {len(orders)} orders but {len(sizes)} sizes")
-        if any(not isinstance(q, int) or q < 1 for q in orders):
+        if any(not isinstance(q, int) or isinstance(q, bool) or q < 1 for q in orders):
             raise ValidationError(f"orders must be positive integers, got {orders}")
         if any(q1 < q2 for q1, q2 in zip(orders, orders[1:])):
             raise ValidationError(f"orders must be non-increasing, got {orders}")
-        if any(not isinstance(m, int) or m < 1 for m in sizes):
+        if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in sizes):
             raise ValidationError(f"group sizes must be positive integers, got {sizes}")
         if isinstance(self.theta, bool) or not (isinstance(self.theta, (int, float)) and 0.0 <= self.theta <= 1.0):
             raise ValidationError(f"theta must lie in [0, 1], got {self.theta!r}")
@@ -110,7 +110,7 @@ def generate(spec: FamilySpec, n: int) -> ChaosVector:
     n // m_j block coordinates, so n must be at least max(sizes).  The
     persistent family's dimension is sum(sizes) + 1 independent of n.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"family index n must be a positive integer, got {n!r}")
     if spec.family == "disjoint":
         return _blocked_vector(spec, n, 0.0)

@@ -18,7 +18,7 @@ import wienerchaos as wc
 from wienerchaos import cli, montecarlo
 from wienerchaos.cli import main
 from wienerchaos.exceptions import ValidationError
-from wienerchaos.sequences import load_raw
+from wienerchaos.sequences import format_float, load_raw
 from wienerchaos.tensor import HilbertSpace, SymmetricTensor
 
 
@@ -270,6 +270,27 @@ def test_simulate_bytes_are_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == (
         "d7147f33f8b473748be84770ad851bb7cf211faf7acde30c3fad6a75480a6830"
     )
+
+
+CELL_VALUES = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, -1.5e300]
+
+
+def test_simulate_cells_are_format_float(workdir, monkeypatch):
+    # a block of rows is formatted by one % operation; each "%.17g" cell
+    # must be format_float's text: the signed zero, the smallest subnormal
+    # and both sides of the switches between fixed and exponent notation
+    def evaluate(element, block):
+        assert block.shape[0] == len(CELL_VALUES)
+        return np.array(CELL_VALUES)
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    samples = 64 * len(CELL_VALUES)  # 64 blocks of 7 rows
+    assert main(["simulate", "persistent.json", "--samples", str(samples), "--out", "s.csv"]) == 0
+    _, rows = read_csv("s.csv")
+    assert rows[0] == "sample,F1,F2" and len(rows) == samples + 1
+    for number, row in enumerate(rows[1:], 1):
+        value = CELL_VALUES[(number - 1) % len(CELL_VALUES)]
+        assert row.split(",") == [str(number), format_float(value), format_float(value)]
 
 
 def test_console_script_help_documents_formats():

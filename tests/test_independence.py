@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import wienerchaos as wc
-from wienerchaos import montecarlo
+from wienerchaos import independence, montecarlo
 from wienerchaos.exceptions import DegenerateInputError, ResourceLimitError, ValidationError
 from wienerchaos.independence import (
     MAX_TUPLES,
@@ -481,8 +481,9 @@ def test_empirical_rows_ignore_blas_threads():
 
 def test_dependence_memory_does_not_scale_with_tuples():
     # 7**4 tuples over 64 blocks of B = 3906 samples: the reduction holds one
-    # head product times the last group's stack at a time, never all 7**3
-    # head products of a block (343 x B doubles, the Khatri-Rao product)
+    # chunk of a slab of head products times the last group's stack at a time
+    # (2 x 7 x B doubles), never all 7**3 head products of a block (343 x B
+    # doubles, the Khatri-Rao product)
     vector = wc.generate(FOUR_GROUPS, 1)
     block = 250_000 // 64
     tracemalloc.start()
@@ -493,3 +494,38 @@ def test_dependence_memory_does_not_scale_with_tuples():
         tracemalloc.stop()
     assert len(result.rows) == 7**4 and result.n_blocks == 64
     assert peak < 343 * block * 8
+
+
+def test_a_four_group_block_is_reduced_in_49_slabs():
+    # with the default dictionary's 7 functions per group, the three head
+    # stacks give 7 x 7 slabs of (7, B) products, not 343 single rows, so a
+    # block costs a few hundred numpy calls, not one per head product; each
+    # slab row is the left-to-right product of one row per head stack
+    k = len(default_dictionary())
+    rng = np.random.default_rng(3)
+    heads = [rng.standard_normal((k, 3906)) for _ in range(3)]
+    slabs = list(independence._head_products(heads))
+    assert len(slabs) == k * k and all(slab.shape == (k, 3906) for slab in slabs)
+    rows = [heads[0][a] * heads[1][b] * heads[2][c] for a, b, c in itertools.product(range(k), repeat=3)]
+    assert np.array_equal(np.concatenate(slabs), np.stack(rows))
+
+
+def test_block_products_are_capped_at_512_kib():
+    # d = 2 with two 256-function dictionaries and B = 15,625: one slab is
+    # the whole first stack, and 256 x 256 x B doubles (8 GB) at once would
+    # be the uncut product.  The cap cuts it into products of 4 rows of the
+    # last stack (500 kB); the rest of the peak is the 65,536 sums, which
+    # become the gaps in place, and the 65,536 factored means.
+    rng = np.random.default_rng(5)
+    stacks = [rng.standard_normal((256, 15_625)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        gaps = independence._block_gaps(stacks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19 + 2 * 256 * 256 * 8  # 1.5 MiB; measured 1.13 MiB
+    assert gaps.shape == (256 * 256,)
+    for i, j in [(0, 0), (17, 255), (255, 3)]:
+        a, b = stacks[0][i], stacks[1][j]
+        assert gaps[256 * i + j] == (a * b).mean() - a.mean() * b.mean()

@@ -69,6 +69,27 @@ def test_family_spec_validation():
     assert FAMILIES == ("disjoint", "vanishing_overlap", "persistent_overlap", "mixed_orders")
 
 
+BATCH_FIELDS = {"seed": 0, "dimension": 3, "count": 10_000, "block_size": 100}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: wc.FamilySpec("disjoint", (True, 1), (1, 1)),
+        lambda: wc.FamilySpec("disjoint", (1, 1), (1, True)),
+        lambda: wc.generate(wc.FamilySpec("disjoint", (2, 2), (1, 1)), True),
+        lambda: wc.sample(True, 3, 10_000),
+    ]
+    + [lambda field=field: wc.SampleBatch(**{**BATCH_FIELDS, field: True}) for field in BATCH_FIELDS],
+    ids=["order", "size", "n", "sample-seed", *(f"batch-{field}" for field in BATCH_FIELDS)],
+)
+def test_bools_are_not_integers(build):
+    # True == 1 passes an isinstance(x, int) check; every count, order,
+    # size and seed rejects it where it enters
+    with pytest.raises(ValidationError):
+        build()
+
+
 def test_dimension_growth():
     spec = wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1))
     assert wc.generate(spec, 4).space.dimension == 9  # d*n + 1
