@@ -9,8 +9,8 @@ the vanishing-contraction criterion at desk scale.
 from .chaos import (
     ChaosElement,
     ChaosExpansion,
-    contraction_norms,
     cov_squares,
+    cov_squares_and_norms,
     evaluate,
     isserlis_moment,
     multiply,
@@ -24,7 +24,7 @@ from .exceptions import (
     ValidationError,
     WienerChaosError,
 )
-from .hermite import hermite, hermite_all
+from .hermite import hermite
 from .independence import (
     ChaosVector,
     IndependenceReport,
@@ -36,7 +36,7 @@ from .independence import (
     exact_pairs,
     squared_cov_matrix,
 )
-from .montecarlo import GENERATOR_TAG, SampleBatch, estimate, sample
+from .montecarlo import GENERATOR_TAG, SampleBatch, sample
 from .sequences import (
     FamilySpec,
     generate,
@@ -78,17 +78,15 @@ __all__ = [
     "bound_ratio",
     "contract",
     "contract_sym",
-    "contraction_norms",
     "cov_squares",
+    "cov_squares_and_norms",
     "criterion_check",
     "default_dictionary",
     "empirical_dependence",
-    "estimate",
     "evaluate",
     "exact_pairs",
     "generate",
     "hermite",
-    "hermite_all",
     "inner",
     "isserlis_moment",
     "load_kernel",

@@ -93,7 +93,7 @@ class ChaosExpansion:
 
     def __init__(self, space: HilbertSpace, components: dict[int, SymmetricTensor]):
         for order, tensor in components.items():
-            if not isinstance(order, int) or order < 0:
+            if not isinstance(order, int) or isinstance(order, bool) or order < 0:
                 raise ValidationError(f"component order must be a non-negative integer, got {order!r}")
             if not isinstance(tensor, SymmetricTensor):
                 raise ValidationError(f"component at order {order} is a {type(tensor).__name__}, not a SymmetricTensor")
@@ -124,9 +124,6 @@ class ChaosExpansion:
 
     def variance(self) -> float:
         return self.covariance(self)
-
-    def second_moment(self) -> float:
-        return self.variance() + self.expectation() ** 2
 
 
 def evaluate(obj: Union[ChaosElement, ChaosExpansion], x: np.ndarray) -> Union[float, np.ndarray]:
@@ -225,7 +222,10 @@ def cov_squares(left: ChaosElement, right: ChaosElement) -> float:
 
 
 def cov_squares_and_norms(left: ChaosElement, right: ChaosElement) -> tuple[float, list[float]]:
-    """cov_squares and contraction_norms of one pair, one contraction per r."""
+    """cov_squares and the norms ||f (x)_r g|| of the unsymmetrized contractions, r = 1..min(p, q).
+
+    One contraction per r feeds both the covariance and the r-th norm.
+    """
     if left.space != right.space:
         raise ValidationError("squared covariance requires elements over the same space")
     p, q = left.order, right.order
@@ -240,16 +240,6 @@ def cov_squares_and_norms(left: ChaosElement, right: ChaosElement) -> tuple[floa
         )
         norms.append(norm)
     return total, norms
-
-
-def contraction_norms(left: ChaosElement, right: ChaosElement) -> list[float]:
-    """Norms ||f (x)_r g|| of the unsymmetrized contractions, r = 1..min(p, q)."""
-    if left.space != right.space:
-        raise ValidationError("contraction norms require elements over the same space")
-    return [
-        contract(left.kernel, right.kernel, r).norm()
-        for r in range(1, min(left.order, right.order) + 1)
-    ]
 
 
 # Monomial coefficients of H_a: H_a(x) = sum_m (-1)^m x^(a-2m) / (m! 2^m (a-2m)!).

@@ -30,10 +30,9 @@ from .sequences import (
     FamilySpec,
     format_float,
     generate,
-    kernel_document,
     load_kernel,
     load_vector,
-    raw_document,
+    table_document,
     write_atomic,
 )
 from .tensor import contract, contract_sym
@@ -79,15 +78,7 @@ def _csv_text(config: dict, seed: int | None, columns: tuple[str, ...], rows: li
     lines = _comment_header(config, seed)
     lines.append(",".join(columns))
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, int):
-                cells.append(str(cell))
-            else:
-                cells.append(format_float(cell))
-        lines.append(",".join(cells))
+        lines.append(",".join(str(cell) if isinstance(cell, int) else format_float(cell) for cell in row))
     return "\n".join(lines) + "\n"
 
 
@@ -115,16 +106,11 @@ def cmd_contract(args) -> int:
     f = load_kernel(args.f)
     g = load_kernel(args.g)
     config = {"subcommand": "contract", "f": args.f, "g": args.g, "r": args.r, "sym": args.sym}
-    if args.sym:
-        result = contract_sym(f, g, args.r)
-        document = kernel_document(result)
-    else:
-        result = contract(f, g, args.r)
-        document = raw_document(result)
+    result = contract_sym(f, g, args.r) if args.sym else contract(f, g, args.r)
     norm = result.norm()
     meta = _meta(config, seed=None)
     meta["norm"] = norm
-    _emit(_with_meta(document, meta), args.out)
+    _emit(_with_meta(table_document(result), meta), args.out)
     stream = sys.stdout if args.out else sys.stderr
     print(f"norm: {format_float(norm)}", file=stream)
     return 0

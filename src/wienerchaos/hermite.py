@@ -33,20 +33,9 @@ def hermite_orders(max_order: int, x: np.ndarray) -> list:
 
 def hermite(q: int, x: ArrayLike) -> ArrayLike:
     """Evaluate H_q at x (scalar or array) by the three-term recurrence."""
-    if not isinstance(q, int) or q < 0:
+    if not isinstance(q, int) or isinstance(q, bool) or q < 0:
         raise ValidationError(f"hermite order must be a non-negative integer, got {q!r}")
     xa = np.asarray(x, dtype=np.float64)
     out = np.empty_like(xa)
     out[...] = hermite_orders(q, xa)[q]
     return float(out) if np.isscalar(x) else out
-
-
-def hermite_all(max_order: int, x: ArrayLike) -> np.ndarray:
-    """Stack H_0(x) .. H_max_order(x) along a leading axis."""
-    if not isinstance(max_order, int) or max_order < 0:
-        raise ValidationError(f"max_order must be a non-negative integer, got {max_order!r}")
-    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = np.empty((max_order + 1,) + xa.shape)
-    for k, values in enumerate(hermite_orders(max_order, xa)):
-        out[k] = values
-    return out

@@ -40,6 +40,9 @@ from .exceptions import DegenerateInputError, ResourceLimitError, ValidationErro
 # Statistical floor: below this many samples the block machinery is noise.
 MIN_SAMPLES = 10_000
 
+# Fewest full blocks whose means give a gap its standard error.
+MIN_BLOCKS = 30
+
 # Largest number of dictionary tuples (one test function per group) a gap
 # estimate may range over; the default dictionary gives 7**d.
 MAX_TUPLES = 1 << 16
@@ -130,13 +133,13 @@ class TestFunction:
         self._deriv_bound = deriv_bound
 
     def deriv_bound(self, k: int) -> float:
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValidationError(f"derivative order must be a positive integer, got {k!r}")
         return float(self._deriv_bound(k))
 
     def norm(self, q: int) -> float:
         """sup |f| plus the derivative sup bounds up to total order q."""
-        if not isinstance(q, int) or q < 0:
+        if not isinstance(q, int) or isinstance(q, bool) or q < 0:
             raise ValidationError(f"norm order must be a non-negative integer, got {q!r}")
         return self.sup + sum(self.deriv_bound(k) for k in range(1, q + 1))
 
@@ -342,7 +345,7 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
     """
     if vector.d < 2:
         raise ValidationError("criterion checks need at least two groups")
-    if not (isinstance(tol, (int, float)) and tol > 0):
+    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0):
         raise ValidationError(f"tolerance must be positive, got {tol!r}")
     cov_matrix, rows = exact_pairs(vector)
     cross = [row for row in rows if row.cross]
@@ -469,10 +472,8 @@ def empirical_dependence(
     if n_tuples > MAX_TUPLES:
         raise ResourceLimitError(f"{n_tuples} dictionary tuples exceed the limit MAX_TUPLES = {MAX_TUPLES}")
     batch = montecarlo.sample(seed, vector.space.dimension, samples, block_size)
-    if batch.n_full_blocks < montecarlo.MIN_BLOCKS:
-        raise ValidationError(
-            f"need at least {montecarlo.MIN_BLOCKS} full blocks, got {batch.n_full_blocks}"
-        )
+    if batch.n_full_blocks < MIN_BLOCKS:
+        raise ValidationError(f"need at least {MIN_BLOCKS} full blocks, got {batch.n_full_blocks}")
     if batch.block_size < 2:
         # the within-block mean of a product over a single sample equals the
         # product itself, making the gap statistic identically zero

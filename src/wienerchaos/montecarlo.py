@@ -1,4 +1,4 @@
-"""Reproducible Gaussian sampling and block-means estimation.
+"""Reproducible Gaussian sampling in independently seeded blocks.
 
 Sampling is counter based: block b of a batch draws from its own
 Philox-4x64 stream keyed by (seed, b), so any block can be regenerated
@@ -16,7 +16,6 @@ no output depends on the number of workers; there is no setting for it.
 from __future__ import annotations
 
 import collections
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,17 +23,12 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .exceptions import ResourceLimitError, ValidationError
+from .exceptions import ValidationError
 
 GENERATOR_TAG = "philox4x64-ziggurat/2"
 
 # Default number of blocks a batch is split into; block means feed stderr.
 DEFAULT_BLOCKS = 64
-
-# Minimum number of full blocks estimate() accepts for a stderr.
-MIN_BLOCKS = 30
-
-_MATERIALIZE_LIMIT = 1 << 26
 
 _T = TypeVar("_T")
 
@@ -61,7 +55,7 @@ def _block_normals(seed: int, block: int, size: int, dimension: int) -> np.ndarr
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Lazy matrix of standard-normal draws, materialized block by block.
+    """Lazy matrix of standard-normal draws, drawn block by block.
 
     Fields identify the draws completely: equal (seed, dimension, count,
     block_size) reproduce every entry bitwise under the same GENERATOR_TAG
@@ -92,8 +86,8 @@ class SampleBatch:
         return self.count // self.block_size
 
     def block(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.n_blocks:
-            raise ValidationError(f"block index {index} outside 0..{self.n_blocks - 1}")
+        if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < self.n_blocks:
+            raise ValidationError(f"block index must be an integer in 0..{self.n_blocks - 1}, got {index!r}")
         size = min(self.block_size, self.count - index * self.block_size)
         return _block_normals(self.seed, index, size, self.dimension)
 
@@ -107,7 +101,7 @@ class SampleBatch:
         been yielded, and closing the iterator early stops the pool.
         """
         stop = self.n_blocks if stop is None else stop
-        if not isinstance(stop, int) or not 0 <= stop <= self.n_blocks:
+        if not isinstance(stop, int) or isinstance(stop, bool) or not 0 <= stop <= self.n_blocks:
             raise ValidationError(f"stop must be an integer in 0..{self.n_blocks}, got {stop!r}")
         workers = max(1, min(_WORKERS, stop))
         pool = ThreadPoolExecutor(max_workers=workers)
@@ -122,17 +116,6 @@ class SampleBatch:
         finally:
             pool.shutdown(cancel_futures=True)
 
-    def iter_blocks(self) -> Iterator[np.ndarray]:
-        return self.map_blocks(lambda block: block)
-
-    def materialize(self) -> np.ndarray:
-        """Full (count, dimension) matrix; guarded against large batches."""
-        if self.count * self.dimension > _MATERIALIZE_LIMIT:
-            raise ResourceLimitError(
-                f"materializing {self.count} x {self.dimension} draws exceeds the in-memory guard"
-            )
-        return np.concatenate(list(self.iter_blocks()), axis=0)
-
 
 def sample(seed: int, dimension: int, count: int, block_size: int | None = None) -> SampleBatch:
     """Build a SampleBatch; block_size defaults to about DEFAULT_BLOCKS blocks."""
@@ -141,34 +124,3 @@ def sample(seed: int, dimension: int, count: int, block_size: int | None = None)
             raise ValidationError(f"count must be a positive integer, got {count!r}")
         block_size = max(1, count // DEFAULT_BLOCKS)
     return SampleBatch(seed=seed, dimension=dimension, count=count, block_size=block_size)
-
-
-def estimate(fn: Callable[[np.ndarray], np.ndarray], batch: SampleBatch) -> tuple[float, float]:
-    """Mean and block-means standard error of fn over a batch.
-
-    fn maps a (block, dimension) array to per-sample values.  The mean runs
-    over every sample; the standard error is the sample deviation of the
-    full-size block means divided by sqrt(number of full blocks), and at
-    least MIN_BLOCKS full blocks are required.
-
-    Returns
-    -------
-    (mean, stderr) : tuple of float
-    """
-    if batch.n_full_blocks < MIN_BLOCKS:
-        raise ValidationError(
-            f"estimate needs at least {MIN_BLOCKS} full blocks, got {batch.n_full_blocks}; "
-            "reduce block_size or increase count"
-        )
-    total = 0.0
-    full_means = []
-    for block in batch.iter_blocks():
-        values = np.asarray(fn(block), dtype=np.float64)
-        if values.shape != (block.shape[0],):
-            raise ValidationError(f"fn returned shape {values.shape}, expected ({block.shape[0]},)")
-        total += float(values.sum())
-        if block.shape[0] == batch.block_size:
-            full_means.append(float(values.mean()))
-    mean = total / batch.count
-    stderr = float(np.std(full_means, ddof=1) / math.sqrt(len(full_means)))
-    return mean, stderr

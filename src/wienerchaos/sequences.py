@@ -137,7 +137,7 @@ def format_float(value: float) -> str:
 _SIDES = {SymmetricTensor: {"index": "order"}, RawTensor: {"left": "left_order", "right": "right_order"}}
 
 
-def _table_document(table: SymmetricTensor | RawTensor) -> str:
+def table_document(table: SymmetricTensor | RawTensor) -> str:
     """Canonical JSON text of a kernel or raw entry table (entries in order, 17-digit floats)."""
     sides = _SIDES[type(table)]
     lines = ["{", f'  "dimension": {table.space.dimension},']
@@ -149,11 +149,6 @@ def _table_document(table: SymmetricTensor | RawTensor) -> str:
         rows.append(f'    {{{cells}"value": {format_float(value)}}}')
     lines += ['  "entries": [', ",\n".join(rows), "  ]"] if rows else ['  "entries": []']
     return "\n".join([*lines, "}"]) + "\n"
-
-
-def kernel_document(tensor: SymmetricTensor) -> str:
-    """Canonical JSON text for one kernel (sorted entries, 17-digit floats)."""
-    return _table_document(tensor)
 
 
 def write_atomic(text: str | Iterable[str], path: str) -> None:
@@ -227,16 +222,11 @@ def _parse_table(document, where: str, kind: type):
 
 
 def save_kernel(tensor: SymmetricTensor, path: str) -> None:
-    write_atomic(kernel_document(tensor), path)
-
-
-def raw_document(raw: RawTensor) -> str:
-    """Canonical JSON text for an unsymmetrized contraction result."""
-    return _table_document(raw)
+    write_atomic(table_document(tensor), path)
 
 
 def save_raw(raw: RawTensor, path: str) -> None:
-    write_atomic(raw_document(raw), path)
+    write_atomic(table_document(raw), path)
 
 
 def load_raw(source: str | Mapping) -> RawTensor:
@@ -256,7 +246,7 @@ def vector_document(vector: ChaosVector) -> str:
     for group in vector.groups:
         element_blocks = []
         for element in group:
-            kernel = kernel_document(element.kernel).rstrip("\n")
+            kernel = table_document(element.kernel).rstrip("\n")
             indented = "\n".join("      " + line for line in kernel.split("\n"))
             element_blocks.append(indented)
         body = ",\n".join(element_blocks)

@@ -476,7 +476,7 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
     """
     if f.space != g.space:
         raise ValidationError("contraction requires tensors over the same space")
-    if not isinstance(r, int) or not 0 <= r <= min(f.order, g.order):
+    if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= min(f.order, g.order):
         raise ValidationError(f"contraction rank {r!r} outside 0..min({f.order}, {g.order})")
     entry_f, sub_f, rest_f = _cuts(f, r)
     entry_g, sub_g, rest_g = _cuts(g, r)

@@ -20,8 +20,8 @@ import pytest
 from wienerchaos.chaos import (
     ChaosElement,
     ChaosExpansion,
-    contraction_norms,
     cov_squares,
+    cov_squares_and_norms,
     evaluate,
     isserlis_moment,
     multiply,
@@ -173,8 +173,8 @@ def test_expansion_validation():
 
 @pytest.mark.parametrize(
     "components",
-    [lambda t: {1: t, "a": t}, lambda t: {1: "x"}, lambda t: {1.0: t}, lambda t: {None: t, 1: t}],
-    ids=["string-order", "string-tensor", "float-order", "none-order"],
+    [lambda t: {1: t, "a": t}, lambda t: {1: "x"}, lambda t: {1.0: t}, lambda t: {None: t, 1: t}, lambda t: {True: t}],
+    ids=["string-order", "string-tensor", "float-order", "none-order", "bool-order"],
 )
 def test_expansion_rejects_malformed_components(components):
     # checked before the orders are sorted or a tensor's order is read
@@ -292,8 +292,8 @@ def test_squared_contraction_inequality():
             G = normalize(rand_element(rng, sp, q))
         except DegenerateInputError:
             continue
-        top = max(contraction_norms(F, G))
-        assert top**2 <= cov_squares(F, G) + 1e-9
+        cov2, norms = cov_squares_and_norms(F, G)
+        assert max(norms) ** 2 <= cov2 + 1e-9
 
 
 def test_unsquared_comparison_has_counterexample():
@@ -303,8 +303,8 @@ def test_unsquared_comparison_has_counterexample():
     rho = 0.1
     X = ChaosElement(SymmetricTensor(sp, 1, {(1,): 1.0}))
     Y = ChaosElement(SymmetricTensor(sp, 1, {(1,): rho, (2,): math.sqrt(1 - rho**2)}))
-    top = max(contraction_norms(X, Y))
-    cq = cov_squares(X, Y)
+    cq, norms = cov_squares_and_norms(X, Y)
+    top = max(norms)
     assert top > cq
     assert top**2 <= cq + 1e-15
 
@@ -323,7 +323,7 @@ def test_contraction_norms_length_and_zero_case():
     sp = HilbertSpace(4)
     F = ChaosElement(SymmetricTensor(sp, 3, {(1, 1, 2): 1.0}))
     G = ChaosElement(SymmetricTensor(sp, 2, {(3, 4): 1.0}))
-    norms = contraction_norms(F, G)
+    norms = cov_squares_and_norms(F, G)[1]
     assert len(norms) == 2
     assert norms == [0.0, 0.0]
 
@@ -373,8 +373,8 @@ def test_second_chaos_closed_form_from_dense_matrices():
         AB = A @ B
         frob2, tr = float(np.sum(AB * AB)), float(np.trace(AB))
         expected = 32 * frob2 + 16 * float(np.trace(AB @ AB)) + 8 * tr**2
-        assert abs(cov_squares(F, G) - expected) <= 1e-12 * expected
-        one, two = contraction_norms(F, G)
+        cov2, (one, two) = cov_squares_and_norms(F, G)
+        assert abs(cov2 - expected) <= 1e-12 * expected
         assert abs(one - math.sqrt(frob2)) <= 1e-12 * math.sqrt(frob2)
         assert abs(two - abs(tr)) <= 1e-12 * abs(tr)
 
@@ -389,9 +389,10 @@ def test_cov_squares_and_norms_are_homogeneous(s):
         F = rand_element(rng, sp, int(rng.integers(1, 4)))
         G = rand_element(rng, sp, int(rng.integers(1, 4)))
         Fs, Gs = ChaosElement(F.kernel.scaled(s)), ChaosElement(G.kernel.scaled(s))
-        cov = cov_squares(F, G)
-        assert abs(cov_squares(Fs, Gs) - s**4 * cov) <= 1e-12 * s**4 * abs(cov)
-        for scaled, norm in zip(contraction_norms(Fs, Gs), contraction_norms(F, G)):
+        cov, norms = cov_squares_and_norms(F, G)
+        cov_s, norms_s = cov_squares_and_norms(Fs, Gs)
+        assert abs(cov_s - s**4 * cov) <= 1e-12 * s**4 * abs(cov)
+        for scaled, norm in zip(norms_s, norms):
             assert abs(scaled - s**2 * norm) <= 1e-12 * s**2 * norm
 
 
@@ -403,7 +404,7 @@ def test_small_kernels_are_not_truncated():
     for s in (1e-8, 1.0):
         F = ChaosElement(SymmetricTensor(sp, 2, {(1, 1): s, (1, 2): 2 * s}))
         G = ChaosElement(SymmetricTensor(sp, 2, {(1, 2): s, (2, 3): s}))
-        assert abs(cov_squares(F, G) - 672 * s**4) <= 1e-12 * 672 * s**4
-        one, two = contraction_norms(F, G)
+        cov2, (one, two) = cov_squares_and_norms(F, G)
+        assert abs(cov2 - 672 * s**4) <= 1e-12 * 672 * s**4
         assert abs(one - math.sqrt(13) * s**2) <= 1e-12 * s**2
         assert abs(two - 4 * s**2) <= 1e-12 * s**2

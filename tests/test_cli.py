@@ -220,7 +220,7 @@ def test_simulate_shape_and_determinism(workdir):
     # values reproduce the library evaluation of the same batch
     vector = wc.load_vector("persistent.json")
     batch = wc.sample(2, vector.space.dimension, 40)
-    expected = wc.evaluate(vector.elements[0], batch.materialize())
+    expected = wc.evaluate(vector.elements[0], np.concatenate(list(batch.map_blocks(lambda block: block))))
     got = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.array_equal(got, expected)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from wienerchaos.exceptions import ValidationError
-from wienerchaos.hermite import hermite, hermite_all
+from wienerchaos.hermite import hermite
 
 
 def hermite_coeffs(q):
@@ -68,14 +68,6 @@ def test_orthonormality_by_quadrature():
             value = float(np.sum(weights * hermite(p, nodes) * hermite(q, nodes)))
             expected = 1.0 / math.factorial(q) if p == q else 0.0
             assert abs(value - expected) < 1e-12, (p, q)
-
-
-def test_hermite_all_stacks_orders():
-    x = np.random.default_rng(11).normal(size=50)
-    table = hermite_all(6, x)
-    assert table.shape == (7, 50)
-    for q in range(7):
-        assert np.array_equal(table[q], hermite(q, x))
 
 
 def test_hermite_returns_a_new_array():

@@ -228,6 +228,10 @@ def test_empirical_floor_and_dictionary_validation():
         wc.empirical_dependence(v, functions=[], samples=20_000)
     with pytest.raises(ValidationError):
         wc.empirical_dependence(v, functions=[[wc.default_dictionary()[0]]], samples=20_000)
+    with pytest.raises(ValidationError):  # 20 full blocks, fewer than MIN_BLOCKS
+        wc.empirical_dependence(v, samples=20_000, block_size=1_000)
+    with pytest.raises(ValidationError):  # a one-sample block has no gap
+        wc.empirical_dependence(v, samples=20_000, block_size=1)
 
 
 def test_per_group_dictionaries():
@@ -479,11 +483,13 @@ def test_empirical_rows_ignore_blas_threads():
     assert len(digests[0]) == 64 and digests[1] == digests[0]
 
 
-def test_dependence_memory_does_not_scale_with_tuples():
+def test_dependence_memory_does_not_scale_with_tuples(monkeypatch):
     # 7**4 tuples over 64 blocks of B = 3906 samples: the reduction holds one
     # chunk of a slab of head products times the last group's stack at a time
     # (2 x 7 x B doubles), never all 7**3 head products of a block (343 x B
-    # doubles, the Khatri-Rao product)
+    # doubles, the Khatri-Rao product).  Each worker holds its own block, so
+    # the peak grows with the worker count; two workers fix it on any machine
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
     vector = wc.generate(FOUR_GROUPS, 1)
     block = 250_000 // 64
     tracemalloc.start()

@@ -1,4 +1,4 @@
-"""Counter-based sampling: determinism pins and estimator behavior.
+"""Counter-based sampling: determinism pins, the law of the draws and block mapping.
 
 The golden values below were produced by this generator version
 (philox4x64-ziggurat/2) and must never change; a change means the stream is a
@@ -12,17 +12,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import wienerchaos as wc
 from wienerchaos import montecarlo
-from wienerchaos.exceptions import ResourceLimitError, ValidationError
-from wienerchaos.montecarlo import (
-    GENERATOR_TAG,
-    MIN_BLOCKS,
-    SampleBatch,
-    _block_normals,
-    estimate,
-    sample,
-)
+from wienerchaos.exceptions import ValidationError
+from wienerchaos.montecarlo import GENERATOR_TAG, _block_normals, sample
+
+
+def all_draws(batch):
+    # the whole (count, dimension) matrix, block after block
+    return np.concatenate([batch.block(i) for i in range(batch.n_blocks)])
+
 
 GOLDEN_SEED0_BLOCK0 = [
     ["0x1.463cb3872ecbdp-3", "-0x1.c6313809c831cp+0"],
@@ -74,21 +72,10 @@ def test_block_plan_and_shapes():
     assert batch.n_blocks == math.ceil(1000 / batch.block_size)
     assert batch.block(0).shape == (batch.block_size, 2)
     # trailing partial block carries the remainder
-    total = sum(block.shape[0] for block in batch.iter_blocks())
+    total = sum(block.shape[0] for block in batch.map_blocks(lambda block: block))
     assert total == 1000
     last = batch.block(batch.n_blocks - 1)
     assert last.shape[0] == 1000 - (batch.n_blocks - 1) * batch.block_size
-
-
-def test_materialize_matches_blocks_and_guards():
-    batch = sample(seed=2, dimension=2, count=257, block_size=64)
-    full = batch.materialize()
-    assert full.shape == (257, 2)
-    assert np.array_equal(full[:64], batch.block(0))
-    assert np.array_equal(full[256:], batch.block(4))
-    huge = SampleBatch(seed=0, dimension=1024, count=1 << 20, block_size=1 << 14)
-    with pytest.raises(ResourceLimitError):
-        huge.materialize()
 
 
 def test_validation_errors():
@@ -105,7 +92,7 @@ def test_validation_errors():
 
 def test_normals_are_finite_and_standard():
     batch = sample(seed=11, dimension=4, count=200_000)
-    full = batch.materialize()
+    full = all_draws(batch)
     assert np.all(np.isfinite(full))
     assert abs(full.mean()) < 0.01
     assert abs(full.std() - 1.0) < 0.01
@@ -115,7 +102,7 @@ def test_normals_follow_the_standard_normal_law_into_the_tails():
     # 10**6 draws over 64 blocks: the whole law (KS), the mass beyond 3 and
     # beyond the ziggurat's tail cut r = 3.654..., and the fourth moment, each
     # against its exact value within 5 standard errors
-    full = sample(seed=2718, dimension=4, count=250_000).materialize().ravel()
+    full = all_draws(sample(seed=2718, dimension=4, count=250_000)).ravel()
     n = full.size
     assert n == 10**6
     assert stats.kstest(full, "norm").pvalue > 1e-3
@@ -124,65 +111,6 @@ def test_normals_follow_the_standard_normal_law_into_the_tails():
         assert abs(np.mean(np.abs(full) > cut) - p) < 5 * math.sqrt(p * (1 - p) / n)
     # E Z^4 = 3 and Var Z^4 = E Z^8 - 9 = 96
     assert abs(np.mean(full**4) - 3.0) < 5 * math.sqrt(96 / n)
-
-
-def test_estimate_known_means():
-    batch = sample(seed=21, dimension=1, count=100_000)
-    mean, stderr = estimate(lambda x: x[:, 0] ** 2, batch)
-    assert abs(mean - 1.0) < 5 * stderr
-    assert 0.001 < stderr < 0.02
-    # E[cos Z] = exp(-1/2)
-    mean, stderr = estimate(lambda x: np.cos(x[:, 0]), batch)
-    assert abs(mean - math.exp(-0.5)) < 5 * stderr
-
-
-def test_estimate_fourth_moment_of_second_chaos():
-    # F = (x^2 - 1)/sqrt(2) standardized: E[F^4] = 15.
-    sp = wc.HilbertSpace(1)
-    F = wc.ChaosElement(wc.SymmetricTensor(sp, 2, {(1, 1): 1 / math.sqrt(2)}))
-    batch = sample(seed=22, dimension=1, count=400_000)
-    mean, stderr = estimate(lambda x: wc.evaluate(F, x) ** 4, batch)
-    assert abs(mean - 15.0) < 6 * stderr
-
-
-def test_estimate_requires_enough_full_blocks():
-    batch = sample(seed=0, dimension=1, count=100, block_size=10)
-    with pytest.raises(ValidationError):
-        estimate(lambda x: x[:, 0], batch)
-    assert batch.n_full_blocks < MIN_BLOCKS
-
-
-def test_estimate_mean_uses_every_sample():
-    # 64 * 15 = 960 < count, so the last 41 samples sit in a partial block;
-    # the mean must still include them.
-    batch = sample(seed=3, dimension=1, count=1001, block_size=15)
-    mean, _ = estimate(lambda x: x[:, 0], batch)
-    direct = batch.materialize()[:, 0].mean()
-    assert abs(mean - float(direct)) < 1e-15
-
-
-def test_estimate_stderr_tracks_clt():
-    # stderr should shrink like 1/sqrt(count), within a loose band.
-    fn = lambda x: x[:, 0]
-    _, se_small = estimate(fn, sample(seed=7, dimension=1, count=20_000))
-    _, se_big = estimate(fn, sample(seed=7, dimension=1, count=320_000))
-    ratio = se_small / se_big
-    assert 2.0 < ratio < 8.0  # ideal 4
-
-
-def test_estimate_rejects_bad_fn_shape():
-    batch = sample(seed=0, dimension=2, count=10_000)
-    with pytest.raises(ValidationError):
-        estimate(lambda x: x, batch)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_estimate_ignores_the_worker_count(monkeypatch, workers):
-    # blocks may be drawn on any thread; the reduction is in block order
-    monkeypatch.setattr(montecarlo, "_WORKERS", workers)
-    batch = sample(seed=3, dimension=5, count=100_000)
-    got = estimate(lambda x: x[:, 0] ** 2 * x[:, 1], batch)
-    assert repr(got) == "(-0.0032535040689264235, 0.005247895854602367)"
 
 
 def test_map_blocks_yields_in_block_order_with_bounded_flight(monkeypatch):

@@ -30,10 +30,9 @@ from wienerchaos.exceptions import (
 )
 from wienerchaos.sequences import (
     FAMILIES,
-    kernel_document,
     load_raw,
-    raw_document,
     save_raw,
+    table_document,
     vector_document,
     write_atomic,
 )
@@ -264,7 +263,7 @@ def test_kernel_round_trip_bit_exact(tmp_path):
 def test_kernel_document_is_plain_json():
     sp = HilbertSpace(2)
     k = SymmetricTensor(sp, 2, {(1, 2): 0.25})
-    doc = json.loads(kernel_document(k))
+    doc = json.loads(table_document(k))
     assert doc["dimension"] == 2
     assert doc["order"] == 2
     assert doc["entries"] == [{"index": [1, 2], "value": 0.25}]
@@ -273,7 +272,7 @@ def test_kernel_document_is_plain_json():
 def test_empty_kernel_document():
     sp = HilbertSpace(2)
     k = SymmetricTensor(sp, 2, {})
-    assert wc.load_kernel(json.loads(kernel_document(k))) == k
+    assert wc.load_kernel(json.loads(table_document(k))) == k
 
 
 def test_load_kernel_error_cases(tmp_path):
@@ -463,7 +462,7 @@ def test_raw_round_trip(tmp_path):
     save_raw(raw, path)
     back = load_raw(path)
     assert back == raw
-    assert raw_document(back) == raw_document(raw)
+    assert table_document(back) == table_document(raw)
 
 
 def test_load_raw_error_cases():
@@ -600,7 +599,7 @@ def test_seventeen_digit_floats_survive():
     sp = HilbertSpace(1)
     for value in values:
         k = SymmetricTensor(sp, 1, {(1,): value})
-        back = wc.load_kernel(json.loads(kernel_document(k)))
+        back = wc.load_kernel(json.loads(table_document(k)))
         assert back.entries[(1,)] == value, value
 
 
