@@ -11,7 +11,6 @@ through the load paths.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Iterable, Iterator
@@ -19,12 +18,7 @@ from typing import Iterable, Iterator
 from . import __version__, montecarlo
 from .chaos import evaluate
 from .exceptions import DegenerateInputError, WienerChaosError
-from .independence import (
-    IndependenceReport,
-    criterion_check,
-    empirical_dependence,
-    exact_pairs,
-)
+from .independence import PairRow, criterion_check, empirical_dependence, exact_pairs
 from .sequences import (
     FAMILIES,
     FamilySpec,
@@ -37,6 +31,7 @@ from .sequences import (
 )
 from .tensor import contract, contract_sym
 
+PAIR_COLUMNS = ("pair_i", "pair_j", "cov2", "max_contraction_norm", "r_argmax", "cross")
 SWEEP_COLUMNS = ("n", "cov2_witness", "contraction_witness", "empirical_gap", "stderr", "bound_ratio")
 
 _FORMAT_GRAMMAR = """\
@@ -65,21 +60,23 @@ def _meta(config: dict, seed: int | None) -> dict:
     }
 
 
-def _comment_header(config: dict, seed: int | None) -> list[str]:
-    return [
-        f"# wienerchaos {__version__}",
-        f"# generator: {montecarlo.GENERATOR_TAG}",
-        f"# seed: {seed}",
-        f"# config: {json.dumps(config, sort_keys=True)}",
-    ]
+def _csv(meta: dict, columns: tuple[str, ...], template: str, rows: Iterable[tuple]) -> str:
+    """The '#' lines read from meta, the column names, then each row as template % row.
+
+    The template's cells are "%d" and "%.17g"; "%.17g" of a float is format_float's text.
+    """
+    head = f"# {meta['tool']}\n# generator: {meta['generator']}\n# seed: {meta['seed']}\n"
+    head += f"# config: {json.dumps(meta['config'], sort_keys=True)}\n{','.join(columns)}\n"
+    return head + "".join(template % row for row in rows)
 
 
-def _csv_text(config: dict, seed: int | None, columns: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = _comment_header(config, seed)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(str(cell) if isinstance(cell, int) else format_float(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def _pairs_csv(meta: dict, pairs: Iterable[PairRow]) -> str:
+    rows = ((p.i, p.j, p.cov2, p.max_norm, p.argmax_r, p.cross) for p in pairs)
+    return _csv(meta, PAIR_COLUMNS, "%d,%d,%.17g,%.17g,%d,%d\n", rows)
+
+
+def _pairs_json(pairs: Iterable[PairRow]) -> list[dict]:
+    return [{"i": p.i, "j": p.j, "cross": p.cross, "cov2": p.cov2, "norms": p.norms} for p in pairs]
 
 
 def _with_meta(document: str, meta: dict) -> str:
@@ -120,16 +117,12 @@ def cmd_cov2(args) -> int:
     vector = load_vector(args.manifest)
     cov_matrix, rows = exact_pairs(vector)
     config = {"subcommand": "cov2", "manifest": args.manifest, "format": args.format}
+    meta = _meta(config, seed=None)
     if args.format == "csv":
-        text = _csv_text(config, None, IndependenceReport.CSV_COLUMNS, [row.csv_row() for row in rows])
+        text = _pairs_csv(meta, rows)
     else:
-        payload = {
-            "orders": list(vector.orders),
-            "sizes": list(vector.sizes),
-            "cov_matrix": [[value for value in line] for line in cov_matrix.tolist()],
-            "pairs": [row.json_row() for row in rows],
-        }
-        text = _summary_text(payload, _meta(config, seed=None))
+        payload = {"orders": vector.orders, "sizes": vector.sizes, "cov_matrix": cov_matrix.tolist()}
+        text = _summary_text({**payload, "pairs": _pairs_json(rows)}, meta)
     _emit(text, args.out)
     return 0
 
@@ -145,13 +138,34 @@ def cmd_check(args) -> int:
         "samples": args.samples,
         "format": args.format,
     }
-    if args.samples:
-        empirical = empirical_dependence(vector, samples=args.samples, seed=args.seed)
-        report = dataclasses.replace(report, empirical=empirical)
+    meta = _meta(config, args.seed)
+    empirical = empirical_dependence(vector, samples=args.samples, seed=args.seed) if args.samples else None
     if args.format == "csv":
-        text = _csv_text(config, args.seed, IndependenceReport.CSV_COLUMNS, report.csv_rows())
+        text = _pairs_csv(meta, report.pairs)
     else:
-        text = _summary_text(report.summary(), _meta(config, args.seed))
+        payload = {
+            "orders": report.orders,
+            "sizes": report.sizes,
+            "pairs": _pairs_json(report.pairs),
+            "tol": report.tol,
+            "cov_pass": report.cov_pass,
+            "contraction_pass": report.contraction_pass,
+            "witness_cov": report.witness_cov,
+            "witness_cov_pair": report.witness_cov_pair,
+            "witness_contraction": report.witness_norm,
+            "witness_contraction_pair": report.witness_norm_pair,
+            "witness_contraction_r": report.witness_norm_r,
+        }
+        if empirical is not None:
+            payload["empirical"] = {
+                "gap": empirical.gap,
+                "stderr": empirical.stderr,
+                "tuple": empirical.labels,
+                "samples": empirical.samples,
+                "seed": empirical.seed,
+                "generator": meta["generator"],
+            }
+        text = _summary_text(payload, meta)
     _emit(text, args.out)
     passed = report.cov_pass and report.contraction_pass
     stream = sys.stdout if args.out else sys.stderr
@@ -162,10 +176,10 @@ def cmd_check(args) -> int:
         f"{'PASS' if passed else 'FAIL'}",
         file=stream,
     )
-    if report.empirical is not None:
+    if empirical is not None:
         print(
-            f"empirical gap {format_float(report.empirical.gap)} +/- "
-            f"{format_float(report.empirical.stderr)} at tuple {', '.join(report.empirical.labels)}",
+            f"empirical gap {format_float(empirical.gap)} +/- "
+            f"{format_float(empirical.stderr)} at tuple {', '.join(empirical.labels)}",
             file=stream,
         )
     return 0 if passed else 1
@@ -207,7 +221,7 @@ def cmd_sweep(args) -> int:
         except DegenerateInputError:
             ratio = float("nan")
         rows.append((n, report.witness_cov, report.witness_norm, empirical.gap, empirical.stderr, ratio))
-    _emit(_csv_text(config, args.seed, SWEEP_COLUMNS, rows), args.out)
+    _emit(_csv(_meta(config, args.seed), SWEEP_COLUMNS, "%d" + ",%.17g" * 5 + "\n", rows), args.out)
     return 0
 
 
@@ -224,11 +238,11 @@ def cmd_simulate(args) -> int:
     batch = montecarlo.sample(args.seed, vector.space.dimension, args.samples)
     elements = vector.elements
     columns = ("sample",) + tuple(f"F{i + 1}" for i in range(len(elements)))
-    header = "\n".join(_comment_header(config, args.seed) + [",".join(columns)]) + "\n"
-    # one % operation per block on the flattened (number, values...) cells;
-    # "%.17g" of a Python float is format_float's text
-    width = len(elements) + 1
     template = "%d" + ",%.17g" * len(elements) + "\n"
+    # the header is _csv with no rows; each block of rows then follows as one
+    # % operation of the repeated template on the flattened (number, values...) cells
+    header = _csv(_meta(config, args.seed), columns, template, ())
+    width = len(elements) + 1
 
     def chunks() -> Iterator[str]:
         yield header
@@ -324,10 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WienerChaosError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
+    except (WienerChaosError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -122,6 +124,9 @@ class TestFunction:
     deriv_bound : callable
         deriv_bound(k) returns a certified bound on the k-th derivative's
         sup norm, k >= 1.  Bounds need not be tight, only valid.
+
+    Every bound, sup and each value deriv_bound returns, must be a finite
+    real >= 0; anything else raises ValidationError when it is read.
     """
 
     __slots__ = ("name", "fn", "sup", "_deriv_bound")
@@ -129,13 +134,13 @@ class TestFunction:
     def __init__(self, name: str, fn: Callable[[np.ndarray], np.ndarray], sup: float, deriv_bound):
         self.name = name
         self.fn = fn
-        self.sup = float(sup)
+        self.sup = _bound(sup, f"test function {name!r}: sup")
         self._deriv_bound = deriv_bound
 
     def deriv_bound(self, k: int) -> float:
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ValidationError(f"derivative order must be a positive integer, got {k!r}")
-        return float(self._deriv_bound(k))
+        return _bound(self._deriv_bound(k), f"test function {self.name!r}: derivative bound {k}")
 
     def norm(self, q: int) -> float:
         """sup |f| plus the derivative sup bounds up to total order q."""
@@ -145,6 +150,13 @@ class TestFunction:
 
     def __repr__(self) -> str:
         return f"TestFunction({self.name!r})"
+
+
+def _bound(value, what: str) -> float:
+    # comparisons are exact across ints and floats, and false for NaN
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value <= sys.float_info.max:
+        return float(value)
+    raise ValidationError(f"{what} must be a finite real >= 0, got {value!r}")
 
 
 def _tanh_deriv_bound(k: int) -> float:
@@ -200,14 +212,6 @@ class PairRow:
     max_norm: float
     argmax_r: int
 
-    CSV_COLUMNS = ("pair_i", "pair_j", "cov2", "max_contraction_norm", "r_argmax", "cross")
-
-    def csv_row(self) -> tuple:
-        return (self.i, self.j, self.cov2, self.max_norm, self.argmax_r, int(self.cross))
-
-    def json_row(self) -> dict:
-        return {"i": self.i, "j": self.j, "cross": self.cross, "cov2": self.cov2, "norms": list(self.norms)}
-
 
 @dataclass(frozen=True)
 class EmpiricalDependence:
@@ -233,21 +237,21 @@ class EmpiricalDependence:
         The exact side comes from report.pairs, the empirical side from
         this result, so no sample is drawn and no contraction runs; see
         bound_ratio for the budget.  Raises DegenerateInputError when a
-        cross pair has zero squared covariance.
+        cross pair has zero squared covariance or a tuple's budget is zero.
         """
         cov_root_sum = _cross_cov_root_sum(report.pairs)
         best = 0.0
-        for (_, gap, _), factors in zip(self.rows, self.budgets):
-            budget = factors[0] * cov_root_sum
-            for factor in factors[1:]:
-                budget *= factor
+        for (labels, gap, _), factors in zip(self.rows, self.budgets):
+            budget = math.prod(factors[1:], start=factors[0] * cov_root_sum)  # in order, left to right
+            if budget == 0.0:
+                raise DegenerateInputError(f"tuple ({', '.join(labels)}) has a zero budget; the ratio is undefined")
             best = max(best, gap / budget)
         return best
 
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    """Exact criterion verdicts plus optional empirical diagnostics."""
+    """Exact criterion verdicts, witnesses and the pair rows behind them."""
 
     tol: float
     orders: tuple[int, ...]
@@ -261,37 +265,6 @@ class IndependenceReport:
     witness_norm: float
     witness_norm_pair: tuple[int, int]
     witness_norm_r: int
-    empirical: EmpiricalDependence | None = None
-
-    CSV_COLUMNS = PairRow.CSV_COLUMNS
-
-    def csv_rows(self) -> list[tuple]:
-        return [row.csv_row() for row in self.pairs]
-
-    def summary(self) -> dict:
-        out = {
-            "orders": list(self.orders),
-            "sizes": list(self.sizes),
-            "tol": self.tol,
-            "cov_pass": self.cov_pass,
-            "contraction_pass": self.contraction_pass,
-            "witness_cov": self.witness_cov,
-            "witness_cov_pair": list(self.witness_cov_pair),
-            "witness_contraction": self.witness_norm,
-            "witness_contraction_pair": list(self.witness_norm_pair),
-            "witness_contraction_r": self.witness_norm_r,
-            "pairs": [row.json_row() for row in self.pairs],
-        }
-        if self.empirical is not None:
-            out["empirical"] = {
-                "gap": self.empirical.gap,
-                "stderr": self.empirical.stderr,
-                "tuple": list(self.empirical.labels),
-                "samples": self.empirical.samples,
-                "seed": self.empirical.seed,
-                "generator": montecarlo.GENERATOR_TAG,
-            }
-        return out
 
 
 def squared_cov_matrix(vector: ChaosVector) -> np.ndarray:
@@ -461,7 +434,8 @@ def empirical_dependence(
 
     Requires samples >= MIN_SAMPLES; estimates below that floor are noise
     and are rejected rather than returned.  More than MAX_TUPLES tuples
-    raise ResourceLimitError before any sample is drawn.
+    raise ResourceLimitError, and a test-function bound that is not a
+    finite real >= 0 raises ValidationError, before any sample is drawn.
     """
     if vector.d < 2:
         raise ValidationError("dependence gaps need at least two groups")
@@ -471,6 +445,10 @@ def empirical_dependence(
     n_tuples = math.prod(len(d) for d in dictionaries)
     if n_tuples > MAX_TUPLES:
         raise ResourceLimitError(f"{n_tuples} dictionary tuples exceed the limit MAX_TUPLES = {MAX_TUPLES}")
+    # the budget factors read every bound, so a bad one fails before any draw
+    q1 = vector.orders[0]
+    deriv_last = [f.deriv_bound(1) * f.sup ** (vector.sizes[-1] - 1) for f in dictionaries[-1]]
+    norms = [[f.norm(q1) ** vector.sizes[g] for f in dictionaries[g]] for g in range(vector.d - 1)]
     batch = montecarlo.sample(seed, vector.space.dimension, samples, block_size)
     if batch.n_full_blocks < MIN_BLOCKS:
         raise ValidationError(f"need at least {MIN_BLOCKS} full blocks, got {batch.n_full_blocks}")
@@ -502,20 +480,13 @@ def empirical_dependence(
         stats[:, b] = column
     gaps = np.abs(stats.mean(axis=1))
     stderrs = stats.std(axis=1, ddof=1) / math.sqrt(n_blocks)
-    q1 = vector.orders[0]
-    deriv_last = [f.deriv_bound(1) * f.sup ** (vector.sizes[-1] - 1) for f in dictionaries[-1]]
-    norms = [[f.norm(q1) ** vector.sizes[g] for f in dictionaries[g]] for g in range(vector.d - 1)]
     combos = itertools.product(*[range(len(d)) for d in dictionaries])
     rows = []
     budgets = []
-    best = None
     for combo, gap, stderr in zip(combos, gaps.tolist(), stderrs.tolist()):
-        labels = tuple(dictionaries[g][k].name for g, k in enumerate(combo))
-        row = (labels, gap, stderr)
-        rows.append(row)
+        rows.append((tuple(dictionaries[g][k].name for g, k in enumerate(combo)), gap, stderr))
         budgets.append((deriv_last[combo[-1]],) + tuple(norms[g][k] for g, k in enumerate(combo[:-1])))
-        if best is None or row[1] > best[1]:
-            best = row
+    best = max(rows, key=lambda row: row[1])  # the first of equal gaps
     return EmpiricalDependence(
         gap=best[1],
         stderr=best[2],

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -86,14 +87,14 @@ def test_cov2_csv_matches_check_witness(workdir):
 
 
 def test_cov2_and_check_csv_rows_are_identical(workdir):
-    # both commands write the pair table through PairRow.csv_row
+    # both commands write the pair table through the CLI's one pair-row writer
     assert main(["cov2", "persistent.json", "--out", "cov2.csv"]) == 0
     assert main(["check", "persistent.json", "--samples", "0", "--format", "csv", "--out", "check.csv"]) == 1
     assert read_csv("cov2.csv")[1] == read_csv("check.csv")[1]
 
 
 def test_cov2_and_check_summary_pairs_are_identical(workdir):
-    # both commands write the pair objects through PairRow.json_row
+    # both commands write the pair objects through the CLI's one pairs list
     assert main(["cov2", "persistent.json", "--format", "summary", "--out", "cov2.json"]) == 0
     assert main(["check", "persistent.json", "--samples", "0", "--out", "check.json"]) == 1
     assert (
@@ -253,6 +254,31 @@ def test_cli_imports_no_private_names():
     assert [name for name in _private_imports("sequences") if name.startswith("tensor.")] == ["tensor._checked_rows"]
 
 
+# perfbench hooks whose targets are gone; every other hook must resolve
+ABSENT_HOOKS = {
+    "chaos.multiply@wienerchaos.independence.multiply",
+    "chaos.contraction_norms@wienerchaos.independence.contraction_norms",
+    "independence.dependence@wienerchaos.cli._dependence_table",
+}
+
+
+def test_perfbench_hook_targets_resolve():
+    # perfbench/child.py wraps package attributes by name; a refactor that
+    # renames or moves one detaches its span without any error
+    path = Path(__file__).parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    absent = set()
+    for name, module_name, attribute_path, _, _ in child.HOOKS:
+        target = importlib.import_module(module_name)
+        for part in attribute_path.split("."):
+            target = getattr(target, part, None)
+        if target is None:
+            absent.add(f"{name}@{module_name}.{attribute_path}")
+    assert absent == ABSENT_HOOKS
+
+
 def test_value_too_large_for_a_float_exits_2(workdir, capsys):
     # an integer beyond the float range is rejected as a malformed entry, not a traceback
     Path("big.json").write_text('{"dimension": 2, "order": 1, "entries": [{"index": [1], "value": 1%s}]}' % ("0" * 400))
@@ -270,6 +296,59 @@ def test_simulate_bytes_are_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == (
         "d7147f33f8b473748be84770ad851bb7cf211faf7acde30c3fad6a75480a6830"
     )
+
+
+SWEEP = ["sweep", "--orders", "2,2", "--sizes", "1,1", "--samples", "20000"]
+
+# argv, exit code and the sha256 of the --out file; every digest is a fixed value
+PINNED_DOCUMENTS = {
+    "check-summary": (
+        ["check", "m.json", "--samples", "0"],
+        1,
+        "b4a0809adb12ea99601f490ad770ab1355b6a6c97d9ceb6ede2c45d9080c0af6",
+    ),
+    "check-summary-sampled": (
+        ["check", "m.json", "--samples", "20000", "--seed", "6"],
+        1,
+        "5ab71a5be56999d6b5f38d9fc8cd6681bffa592e9ad548428101034c04e63b34",
+    ),
+    "check-csv": (
+        ["check", "m.json", "--samples", "0", "--format", "csv"],
+        1,
+        "a829f6d11d9ee2034ad072c1c25924c57f137de0bfa94ae318803b24464c0563",
+    ),
+    "cov2-summary": (
+        ["cov2", "m.json", "--format", "summary"],
+        0,
+        "df71e5446ba99d8e66aa92f0063a4deff91b410a73d9d6aedc31cae4aa8a989b",
+    ),
+    "cov2-csv": (
+        ["cov2", "m.json"],
+        0,
+        "55e08ae8176acdedf992372ff3ccc47a9af11f276074c6e00349db31bdbd1a43",
+    ),
+    "sweep": (
+        SWEEP + ["--family", "vanishing_overlap", "--theta", "0.5", "--n", "4,16", "--seed", "7"],
+        0,
+        "a675463debff41b63f64c45d49e8e2531d43e7619a00b496987917b0f09a3a2f",
+    ),
+    "sweep-nan-ratio": (
+        SWEEP + ["--family", "disjoint", "--n", "4"],
+        0,
+        "4f10fa5772de9a568882838609bb4405a5372976db396726ded7c974fb1429df",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DOCUMENTS)
+def test_cli_documents_are_pinned(tmp_path, monkeypatch, name):
+    # the whole --out file of check, cov2 and sweep: '#' header lines, column
+    # names, JSON key order and every cell's text
+    monkeypatch.chdir(tmp_path)
+    wc.save_vector(wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 2), theta=0.5), 8), "m.json")
+    argv, code, digest = PINNED_DOCUMENTS[name]
+    assert main(argv + ["--out", "out"]) == code
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
 
 
 CELL_VALUES = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, -1.5e300]

@@ -84,6 +84,40 @@ def test_function_norm_accumulates_bounds():
         f.deriv_bound(0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, True, "1", 10**400])
+def test_function_bounds_must_be_finite_and_nonnegative(bad):
+    # a negative bound made bound_ratio positive and a NaN one read as 0.0;
+    # both are rejected where the bound is read
+    with pytest.raises(ValidationError, match="sup must be a finite real >= 0"):
+        TestFunction("bad", np.cos, bad, lambda k: 1.0)
+    f = TestFunction("bad", np.cos, 1.0, lambda k: bad)
+    with pytest.raises(ValidationError, match="'bad': derivative bound 1 must be a finite real >= 0"):
+        f.deriv_bound(1)
+    with pytest.raises(ValidationError):
+        f.norm(2)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_bad_derivative_bound_fails_before_sampling(monkeypatch, bad):
+    v = second_chaos_pair(0.5)
+    functions = [[TestFunction("cos1", np.cos, 1.0, lambda k: 1.0)], [TestFunction("bad", np.cos, 1.0, lambda k: bad)]]
+    forbid(monkeypatch, wc.montecarlo, "sample")
+    with pytest.raises(ValidationError, match="'bad'"):
+        wc.empirical_dependence(v, functions, samples=20_000)
+    with pytest.raises(ValidationError, match="'bad'"):
+        wc.bound_ratio(v, functions, samples=20_000)
+
+
+def test_zero_budget_ratio_names_the_tuple():
+    # a constant test function has derivative bound 0, so its tuples have a
+    # zero budget and no ratio
+    v = second_chaos_pair(0.5)
+    one = TestFunction("one", np.ones_like, 1.0, lambda k: 0.0)
+    functions = [default_dictionary()[:1], [one]]
+    with pytest.raises(DegenerateInputError, match=r"tuple \(cos0.5, one\) has a zero budget"):
+        wc.bound_ratio(v, functions, samples=20_000, seed=4)
+
+
 def test_vector_sorts_groups_by_decreasing_order():
     sp = wc.HilbertSpace(3)
     one = wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(1,): 1.0}))
@@ -154,13 +188,10 @@ def test_report_rows_cover_matrix_and_match_witnesses():
     assert len(cross) == 1
     assert abs(max(row.cov2 for row in cross) - report.witness_cov) < 1e-15
     assert abs(max(row.max_norm for row in cross) - report.witness_norm) < 1e-15
-    rows = report.csv_rows()
-    # layout: pair_i, pair_j, cov2, max_contraction_norm, r_argmax, cross
-    assert rows[0][:2] == (1, 1) and rows[0][5] == 0
-    assert rows[1][:2] == (1, 2) and rows[1][5] == 1
-    summary = report.summary()
-    assert summary["witness_cov"] == report.witness_cov
-    assert len(summary["pairs"]) == 3
+    # upper triangle in row order, diagonal included
+    assert [(row.i, row.j, row.cross) for row in report.pairs] == [(1, 1, False), (1, 2, True), (2, 2, False)]
+    for row in report.pairs:
+        assert row.cov2 == report.cov_matrix[row.i - 1, row.j - 1]
 
 
 def test_report_entries_essentially_nonnegative():
