@@ -187,12 +187,9 @@ def cmd_check(args) -> int:
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise WienerChaosError(f"{flag} expects comma-separated integers, got {text!r}") from None
-    if not values:
-        raise WienerChaosError(f"{flag} expects at least one integer")
-    return values
 
 
 def cmd_sweep(args) -> int:

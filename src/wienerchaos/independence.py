@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -41,9 +42,6 @@ from .exceptions import DegenerateInputError, ResourceLimitError, ValidationErro
 
 # Statistical floor: below this many samples the block machinery is noise.
 MIN_SAMPLES = 10_000
-
-# Fewest full blocks whose means give a gap its standard error.
-MIN_BLOCKS = 30
 
 # Largest number of dictionary tuples (one test function per group) a gap
 # estimate may range over; the default dictionary gives 7**d.
@@ -70,7 +68,14 @@ class ChaosVector:
     __slots__ = ("space", "groups", "orders", "sizes")
 
     def __init__(self, groups: Sequence[Sequence[ChaosElement]]):
-        packed = [tuple(group) for group in groups]
+        packed = []
+        for g, group in enumerate(groups):
+            if not isinstance(group, Sequence):
+                raise ValidationError(f"group {g + 1} is not a sequence of ChaosElement: {group!r}")
+            for e, element in enumerate(group):
+                if not isinstance(element, ChaosElement):
+                    raise ValidationError(f"group {g + 1} element {e + 1} is not a ChaosElement: {element!r}")
+            packed.append(tuple(group))
         if not packed or any(not group for group in packed):
             raise ValidationError("a chaos vector needs at least one non-empty group")
         space = packed[0][0].space
@@ -240,13 +245,8 @@ class EmpiricalDependence:
         cross pair has zero squared covariance or a tuple's budget is zero.
         """
         cov_root_sum = _cross_cov_root_sum(report.pairs)
-        best = 0.0
-        for (labels, gap, _), factors in zip(self.rows, self.budgets):
-            budget = math.prod(factors[1:], start=factors[0] * cov_root_sum)  # in order, left to right
-            if budget == 0.0:
-                raise DegenerateInputError(f"tuple ({', '.join(labels)}) has a zero budget; the ratio is undefined")
-            best = max(best, gap / budget)
-        return best
+        ratios = (gap / _budget(labels, f, cov_root_sum) for (labels, gap, _), f in zip(self.rows, self.budgets))
+        return max([0.0, *ratios])  # a running max from 0.0, in tuple order
 
 
 @dataclass(frozen=True)
@@ -318,14 +318,15 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
     """
     if vector.d < 2:
         raise ValidationError("criterion checks need at least two groups")
-    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0):
-        raise ValidationError(f"tolerance must be positive, got {tol!r}")
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and tol > 0):
+        raise ValidationError(f"tolerance must be a positive real, got {tol!r}")
+    tol = float(tol)  # a float32 tol would round every comparison to float32
     cov_matrix, rows = exact_pairs(vector)
     cross = [row for row in rows if row.cross]
     witness_cov = max(cross, key=lambda row: row.cov2)
     witness_norm = max(cross, key=lambda row: row.max_norm)
     return IndependenceReport(
-        tol=float(tol),
+        tol=tol,
         orders=vector.orders,
         sizes=vector.sizes,
         cov_matrix=cov_matrix,
@@ -338,27 +339,6 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
         witness_norm_pair=(witness_norm.i, witness_norm.j),
         witness_norm_r=witness_norm.argmax_r,
     )
-
-
-def _group_dictionaries(
-    vector: ChaosVector, functions: Sequence[TestFunction] | Sequence[Sequence[TestFunction]] | None
-) -> list[list[TestFunction]]:
-    if functions is None:
-        shared = default_dictionary()
-        return [list(shared) for _ in vector.groups]
-    seq = list(functions)
-    if not seq:
-        raise ValidationError("the test-function dictionary is empty")
-    if isinstance(seq[0], TestFunction):
-        if not all(isinstance(f, TestFunction) for f in seq):
-            raise ValidationError("mixed dictionary input; pass TestFunction lists")
-        return [list(seq) for _ in vector.groups]
-    per_group = [list(group) for group in seq]
-    if len(per_group) != vector.d:
-        raise ValidationError(f"need one dictionary per group ({vector.d}), got {len(per_group)}")
-    if any(not group for group in per_group):
-        raise ValidationError("the test-function dictionary is empty")
-    return per_group
 
 
 def _head_products(stacks: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
@@ -411,51 +391,73 @@ def _block_gaps(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return sums.ravel()
 
 
-def empirical_dependence(
-    vector: ChaosVector,
-    functions: Sequence[TestFunction] | Sequence[Sequence[TestFunction]] | None = None,
-    samples: int = 100_000,
-    seed: int = 0,
-    block_size: int | None = None,
-) -> EmpiricalDependence:
-    """Largest empirical factorization gap over dictionary tuples.
+def _plan(vector: ChaosVector, functions: Sequence[Sequence[TestFunction]] | None, samples: int) -> tuple:
+    """Check the probe's input; return the per-group dictionaries and each tuple's labels and budget factors.
 
-    For each tuple of test functions (one per group, applied coordinatewise
-    and multiplied within a group) the gap |E prod - prod E| is estimated
-    by block means over full-size blocks, and the tuple with the largest
-    absolute gap is reported together with its standard error.  The result
-    also carries each tuple's budget factors, so EmpiricalDependence.ratio
-    needs no second sampling pass.
-
-    Blocks are evaluated, and the test functions applied, on the worker
-    threads of SampleBatch.map_blocks, so each TestFunction.fn must be
-    thread-safe and pure.  The results are reduced in block order, and no
-    output depends on the number of workers.
-
-    Requires samples >= MIN_SAMPLES; estimates below that floor are noise
-    and are rejected rather than returned.  More than MAX_TUPLES tuples
-    raise ResourceLimitError, and a test-function bound that is not a
-    finite real >= 0 raises ValidationError, before any sample is drawn.
+    Tuples run in itertools.product order.  Reading the factors reads every
+    bound, so all of the input is checked before the first draw.
     """
     if vector.d < 2:
         raise ValidationError("dependence gaps need at least two groups")
     if not isinstance(samples, int) or samples < MIN_SAMPLES:
         raise ValidationError(f"samples must be an integer >= {MIN_SAMPLES}, got {samples!r}")
-    dictionaries = _group_dictionaries(vector, functions)
+    dictionaries = [default_dictionary() for _ in vector.groups] if functions is None else functions
+    if not isinstance(dictionaries, Sequence) or len(dictionaries) != vector.d:
+        raise ValidationError(f"functions must hold one dictionary per group ({vector.d}), got {functions!r}")
+    for g, dictionary in enumerate(dictionaries):
+        valid = isinstance(dictionary, Sequence) and all(isinstance(f, TestFunction) for f in dictionary)
+        if not valid or not dictionary:
+            raise ValidationError(f"group {g + 1} needs a non-empty sequence of TestFunction, got {dictionary!r}")
     n_tuples = math.prod(len(d) for d in dictionaries)
     if n_tuples > MAX_TUPLES:
         raise ResourceLimitError(f"{n_tuples} dictionary tuples exceed the limit MAX_TUPLES = {MAX_TUPLES}")
-    # the budget factors read every bound, so a bad one fails before any draw
     q1 = vector.orders[0]
     deriv_last = [f.deriv_bound(1) * f.sup ** (vector.sizes[-1] - 1) for f in dictionaries[-1]]
-    norms = [[f.norm(q1) ** vector.sizes[g] for f in dictionaries[g]] for g in range(vector.d - 1)]
-    batch = montecarlo.sample(seed, vector.space.dimension, samples, block_size)
-    if batch.n_full_blocks < MIN_BLOCKS:
-        raise ValidationError(f"need at least {MIN_BLOCKS} full blocks, got {batch.n_full_blocks}")
-    if batch.block_size < 2:
-        # the within-block mean of a product over a single sample equals the
-        # product itself, making the gap statistic identically zero
-        raise ValidationError("the gap statistic needs a block size of at least 2")
+    norms = [[f.norm(q1) ** m for f in dictionary] for dictionary, m in zip(dictionaries[:-1], vector.sizes)]
+    labels = list(itertools.product(*[[f.name for f in dictionary] for dictionary in dictionaries]))
+    factors = [(last, *heads) for *heads, last in itertools.product(*norms, deriv_last)]
+    return dictionaries, labels, factors
+
+
+def _budget(labels: tuple[str, ...], factors: tuple[float, ...], cov_root_sum: float) -> float:
+    """One tuple's ratio budget; a zero budget leaves the ratio undefined and raises."""
+    budget = math.prod(factors[1:], start=factors[0] * cov_root_sum)  # in order, left to right
+    if budget == 0.0:
+        raise DegenerateInputError(f"tuple ({', '.join(labels)}) has a zero budget; the ratio is undefined")
+    return budget
+
+
+def empirical_dependence(
+    vector: ChaosVector,
+    functions: Sequence[Sequence[TestFunction]] | None = None,
+    samples: int = 100_000,
+    seed: int = 0,
+) -> EmpiricalDependence:
+    """Largest empirical factorization gap over dictionary tuples.
+
+    functions is None (the default dictionary) or one dictionary per group.
+    For each tuple of test functions (one per group, applied coordinatewise
+    and multiplied within a group) the gap |E prod - prod E| is estimated
+    by block means over montecarlo.DEFAULT_BLOCKS full blocks, and the
+    tuple with the largest absolute gap is reported together with its
+    standard error.  The result also carries each tuple's budget factors,
+    so EmpiricalDependence.ratio needs no second sampling pass.
+
+    Blocks are evaluated, and the test functions applied, on the worker
+    threads of SampleBatch.map_blocks, so each TestFunction.fn must be
+    thread-safe and pure, and return one value per sample.  The results
+    are reduced in block order, and no output depends on the number of
+    workers.
+
+    Requires samples >= MIN_SAMPLES; estimates below that floor are noise
+    and are rejected rather than returned.  A malformed dictionary or a
+    test-function bound that is not a finite real >= 0 raises
+    ValidationError, and more than MAX_TUPLES tuples raise
+    ResourceLimitError, before any sample is drawn.
+    """
+    dictionaries, labels, budgets = _plan(vector, functions, samples)
+    # samples >= MIN_SAMPLES: exactly DEFAULT_BLOCKS full blocks of >= 156 samples
+    batch = montecarlo.sample(seed, vector.space.dimension, samples)
     n_blocks = batch.n_full_blocks
 
     def stack(group: Sequence[ChaosElement], dictionary: Sequence[TestFunction], block: np.ndarray) -> np.ndarray:
@@ -464,10 +466,10 @@ def empirical_dependence(
         element_values = [evaluate(element, block) for element in group]
         per_function = []
         for function in dictionary:
-            prod = function.fn(element_values[0])
-            for values in element_values[1:]:
-                prod = prod * function.fn(values)
-            per_function.append(prod)
+            values = [function.fn(x) for x in element_values]
+            if any(np.shape(v) != (len(block),) for v in values):
+                raise ValidationError(f"test function {function.name!r} must return one value per sample row")
+            per_function.append(functools.reduce(operator.mul, values))  # left to right
         return np.stack(per_function)
 
     def block_gaps(block: np.ndarray) -> np.ndarray:
@@ -475,17 +477,12 @@ def empirical_dependence(
 
     # (tuples x blocks), C order: each tuple's block statistics are one
     # contiguous row, so the reductions below sum them pairwise
-    stats = np.empty((n_tuples, n_blocks))
+    stats = np.empty((len(labels), n_blocks))
     for b, column in enumerate(batch.map_blocks(block_gaps, stop=n_blocks)):
         stats[:, b] = column
     gaps = np.abs(stats.mean(axis=1))
     stderrs = stats.std(axis=1, ddof=1) / math.sqrt(n_blocks)
-    combos = itertools.product(*[range(len(d)) for d in dictionaries])
-    rows = []
-    budgets = []
-    for combo, gap, stderr in zip(combos, gaps.tolist(), stderrs.tolist()):
-        rows.append((tuple(dictionaries[g][k].name for g, k in enumerate(combo)), gap, stderr))
-        budgets.append((deriv_last[combo[-1]],) + tuple(norms[g][k] for g, k in enumerate(combo[:-1])))
+    rows = tuple(zip(labels, gaps.tolist(), stderrs.tolist()))
     best = max(rows, key=lambda row: row[1])  # the first of equal gaps
     return EmpiricalDependence(
         gap=best[1],
@@ -494,17 +491,16 @@ def empirical_dependence(
         samples=samples,
         seed=seed,
         n_blocks=n_blocks,
-        rows=tuple(rows),
+        rows=rows,
         budgets=tuple(budgets),
     )
 
 
 def bound_ratio(
     vector: ChaosVector,
-    functions: Sequence[TestFunction] | Sequence[Sequence[TestFunction]] | None = None,
+    functions: Sequence[Sequence[TestFunction]] | None = None,
     samples: int = 100_000,
     seed: int = 0,
-    block_size: int | None = None,
 ) -> float:
     """Empirical gap over its theoretical budget, maximized over tuples.
 
@@ -517,13 +513,17 @@ def bound_ratio(
     Used only to check boundedness; the value itself estimates no sharp
     constant.
 
-    One exact pass and one sampling pass; exactly independent input raises
-    DegenerateInputError before any sample is drawn.  A caller that already
-    holds both results gets the same value from EmpiricalDependence.ratio.
+    One exact pass and one sampling pass.  Exactly independent input, and
+    a tuple with a zero budget, raise DegenerateInputError before any
+    sample is drawn.  A caller that already holds both results gets the
+    same value from EmpiricalDependence.ratio.
     """
     report = criterion_check(vector)
-    _cross_cov_root_sum(report.pairs)  # degenerate input fails here, before sampling
-    return empirical_dependence(vector, functions, samples, seed, block_size).ratio(report)
+    cov_root_sum = _cross_cov_root_sum(report.pairs)
+    dictionaries, labels, factors = _plan(vector, functions, samples)
+    budgets = [_budget(tuple_labels, f, cov_root_sum) for tuple_labels, f in zip(labels, factors)]
+    rows = empirical_dependence(vector, dictionaries, samples, seed).rows
+    return max([0.0, *(gap / budget for (_, gap, _), budget in zip(rows, budgets))])  # as in ratio
 
 
 def _cross_cov_root_sum(pairs: Sequence[PairRow]) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import warnings
 from collections.abc import Iterable, Mapping
@@ -45,8 +46,8 @@ class FamilySpec:
     """Recipe for one n-indexed family of chaos vectors.
 
     orders[j] and sizes[j] give the chaos order and element count of group
-    j; theta in [0, 1] sets the shared-coordinate weight (ignored by the
-    disjoint family).
+    j; theta, a real in [0, 1] stored as a float, sets the shared-coordinate
+    weight (ignored by the disjoint family).
     """
 
     family: str
@@ -71,8 +72,9 @@ class FamilySpec:
             raise ValidationError(f"orders must be non-increasing, got {orders}")
         if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in sizes):
             raise ValidationError(f"group sizes must be positive integers, got {sizes}")
-        if isinstance(self.theta, bool) or not (isinstance(self.theta, (int, float)) and 0.0 <= self.theta <= 1.0):
-            raise ValidationError(f"theta must lie in [0, 1], got {self.theta!r}")
+        if isinstance(self.theta, bool) or not (isinstance(self.theta, numbers.Real) and 0.0 <= self.theta <= 1.0):
+            raise ValidationError(f"theta must be a real in [0, 1], got {self.theta!r}")
+        object.__setattr__(self, "theta", float(self.theta))
         if self.family == "mixed_orders":
             if len(orders) != 2 or orders[0] <= orders[1]:
                 raise ValidationError(
@@ -87,18 +89,19 @@ def _diagonal_element(space: HilbertSpace, q: int, first: int, count: int, body:
     return ChaosElement(SymmetricTensor._of(space, (q,), np.repeat(diagonal[:, None], q, axis=1), values))
 
 
-def _blocked_vector(spec: FamilySpec, n: int, delta: float) -> ChaosVector:
-    # d blocks of n coordinates plus one shared coordinate at the end.
-    d = len(spec.orders)
-    space = HilbertSpace(d * n + 1)
+def _blocked_vector(spec: FamilySpec, spans: tuple[int, ...], delta: float) -> ChaosVector:
+    # one block of spans[j] coordinates per group, plus one shared coordinate at the end.
+    space = HilbertSpace(sum(spans) + 1)
     groups = []
-    for j, (q, m) in enumerate(zip(spec.orders, spec.sizes)):
-        if n < m:
-            raise ValidationError(f"group {j + 1} needs n >= {m} coordinates per element, got n={n}")
-        width = n // m
+    first = 1
+    for j, (q, m, span) in enumerate(zip(spec.orders, spec.sizes, spans)):
+        if span < m:
+            raise ValidationError(f"group {j + 1} needs n >= {m} coordinates per element, got n={span}")
+        width = span // m
         body = math.sqrt((1.0 - delta * delta) / (width * math.factorial(q)))
         tip = delta / math.sqrt(math.factorial(q))
-        groups.append([_diagonal_element(space, q, j * n + k * width + 1, width, body, tip) for k in range(m)])
+        groups.append([_diagonal_element(space, q, first + k * width, width, body, tip) for k in range(m)])
+        first += span
     return ChaosVector(groups)
 
 
@@ -112,20 +115,10 @@ def generate(spec: FamilySpec, n: int) -> ChaosVector:
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValidationError(f"family index n must be a positive integer, got {n!r}")
-    if spec.family == "disjoint":
-        return _blocked_vector(spec, n, 0.0)
-    if spec.family in ("vanishing_overlap", "mixed_orders"):
-        return _blocked_vector(spec, n, spec.theta * n**-0.25)
-    # persistent_overlap: one coordinate per element plus the shared one.
-    total = sum(spec.sizes)
-    space = HilbertSpace(total + 1)
-    groups = []
-    coordinates = iter(range(1, total + 1))
-    for q, m in zip(spec.orders, spec.sizes):
-        body = math.sqrt((1.0 - spec.theta**2) / math.factorial(q))
-        tip = spec.theta / math.sqrt(math.factorial(q))
-        groups.append([_diagonal_element(space, q, next(coordinates), 1, body, tip) for _ in range(m)])
-    return ChaosVector(groups)
+    if spec.family == "persistent_overlap":  # one coordinate per element
+        return _blocked_vector(spec, spec.sizes, spec.theta)
+    delta = 0.0 if spec.family == "disjoint" else spec.theta * n**-0.25
+    return _blocked_vector(spec, (n,) * len(spec.orders), delta)
 
 
 def format_float(value: float) -> str:

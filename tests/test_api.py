@@ -1,5 +1,8 @@
-"""The public surface: exported names and the integer-argument rule."""
+"""The public surface: exported names, the integer- and real-argument rules and the README example."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import wienerchaos as wc
@@ -68,3 +71,28 @@ def _first(iterator):
 def test_integer_arguments_reject_bools_and_non_integers(call):
     with pytest.raises(ValidationError):
         call()
+
+
+# Real arguments take any non-bool numbers.Real and are stored as floats,
+# so a numpy float32 neither fails nor rounds later arithmetic to float32.
+def test_real_arguments_accept_numpy_scalars():
+    tol = np.float32(1e-6)
+    report = wc.criterion_check(_vector(), tol=tol)
+    assert type(report.tol) is float and report.tol == float(tol)
+    plain_report = wc.criterion_check(_vector(), tol=float(tol))
+    assert (report.cov_pass, report.contraction_pass) == (plain_report.cov_pass, plain_report.contraction_pass)
+    spec = wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=np.float32(0.3))
+    assert type(spec.theta) is float
+    plain = wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=float(np.float32(0.3)))
+    assert wc.sequences.vector_document(wc.generate(spec, 4)) == wc.sequences.vector_document(wc.generate(plain, 4))
+    with pytest.raises(ValidationError):
+        wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=True)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's library example runs as written against the current API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

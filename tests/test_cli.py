@@ -206,6 +206,8 @@ def test_sweep_rejects_bad_flags(workdir, capsys):
     assert main(["sweep", "--family", "disjoint", "--orders", "2,x", "--sizes", "1,1",
                  "--n", "4"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["sweep", "--family", "disjoint", "--orders", "", "--sizes", "1,1", "--n", "4"]) == 2
+    assert "--orders expects comma-separated integers" in capsys.readouterr().err
     assert main(["sweep", "--family", "disjoint", "--orders", "2,2", "--sizes", "1,1",
                  "--n", "4", "--samples", "100"]) == 2
 

@@ -118,6 +118,64 @@ def test_zero_budget_ratio_names_the_tuple():
         wc.bound_ratio(v, functions, samples=20_000, seed=4)
 
 
+def test_zero_budget_fails_bound_ratio_before_sampling(monkeypatch):
+    # bound_ratio checks every budget before the draw; a held result's
+    # ratio makes the same check on the same budget function
+    v = second_chaos_pair(0.5)
+    functions = [default_dictionary()[:1], [TestFunction("one", np.ones_like, 1.0, lambda k: 0.0)]]
+    forbid(monkeypatch, wc.montecarlo, "sample")
+    with pytest.raises(DegenerateInputError, match=r"tuple \(cos0.5, one\) has a zero budget"):
+        wc.bound_ratio(v, functions, samples=20_000, seed=4)
+    monkeypatch.undo()
+    emp = wc.empirical_dependence(v, functions, samples=20_000, seed=4)
+    with pytest.raises(DegenerateInputError, match=r"tuple \(cos0.5, one\) has a zero budget"):
+        emp.ratio(wc.criterion_check(v))
+
+
+@pytest.mark.parametrize(
+    "functions, group",
+    [
+        (default_dictionary()[:2], 1),  # one flat list shared by the groups
+        ([default_dictionary(), [1.0]], 2),
+        ([default_dictionary(), default_dictionary()[0]], 2),
+        ([default_dictionary(), []], 2),
+    ],
+    ids=["flat", "float-member", "bare-function", "empty"],
+)
+def test_each_group_needs_a_sequence_of_test_functions(monkeypatch, functions, group):
+    forbid(monkeypatch, wc.montecarlo, "sample")
+    for probe in (wc.empirical_dependence, wc.bound_ratio):
+        with pytest.raises(ValidationError, match=f"group {group} needs a non-empty sequence of TestFunction"):
+            probe(second_chaos_pair(0.5), functions, samples=20_000)
+
+
+def test_a_test_function_returns_one_value_per_sample():
+    mean = TestFunction("mean", np.mean, 1.0, lambda k: 1.0)
+    with pytest.raises(ValidationError, match="'mean' must return one value per sample row"):
+        wc.empirical_dependence(second_chaos_pair(0.5), [[mean], default_dictionary()], samples=20_000)
+
+
+def test_the_probe_runs_on_64_full_blocks(monkeypatch):
+    # the probe takes the sampler's default plan: count = 64 b + r with
+    # b = count // 64 >= 156 > r, so any samples >= MIN_SAMPLES gives exactly
+    # 64 full blocks of at least 156 samples, and no block-count or
+    # block-size guard could fire
+    for count in [*range(MIN_SAMPLES, MIN_SAMPLES + 256), 10**6, 2**40 - 1]:
+        batch = montecarlo.sample(0, 1, count)
+        assert batch.n_full_blocks == montecarlo.DEFAULT_BLOCKS == 64 and batch.block_size >= 156
+    plans = []
+    sample = montecarlo.sample
+
+    def default_plan(seed, dimension, count):
+        batch = sample(seed, dimension, count)
+        plans.append((batch.n_full_blocks, batch.block_size))
+        return batch
+
+    monkeypatch.setattr(montecarlo, "sample", default_plan)
+    result = wc.empirical_dependence(gaussian_pair(0.3), samples=MIN_SAMPLES, seed=1)
+    assert plans == [(64, 156)] and result.n_blocks == 64
+
+
 def test_vector_sorts_groups_by_decreasing_order():
     sp = wc.HilbertSpace(3)
     one = wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(1,): 1.0}))
@@ -145,6 +203,18 @@ def test_vector_validation():
         wc.ChaosVector([[unit], [other_space]])
     with pytest.raises(ValidationError):
         wc.ChaosVector([[unit, two]])  # mixed orders within a group
+
+
+def test_vector_groups_are_sequences_of_chaos_elements():
+    sp = wc.HilbertSpace(3)
+    f = wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(1,): 1.0}))
+    g = wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(2,): 1.0}))
+    with pytest.raises(ValidationError, match="group 1 element 1 is not a ChaosElement: 1.0"):
+        wc.ChaosVector([[1.0], [g]])
+    with pytest.raises(ValidationError, match="group 2 element 2 is not a ChaosElement: None"):
+        wc.ChaosVector([[f], [g, None]])
+    with pytest.raises(ValidationError, match=r"group 1 is not a sequence of ChaosElement: ChaosElement\(order=1"):
+        wc.ChaosVector([f, g])
 
 
 def test_squared_cov_matrix_values():
@@ -259,10 +329,6 @@ def test_empirical_floor_and_dictionary_validation():
         wc.empirical_dependence(v, functions=[], samples=20_000)
     with pytest.raises(ValidationError):
         wc.empirical_dependence(v, functions=[[wc.default_dictionary()[0]]], samples=20_000)
-    with pytest.raises(ValidationError):  # 20 full blocks, fewer than MIN_BLOCKS
-        wc.empirical_dependence(v, samples=20_000, block_size=1_000)
-    with pytest.raises(ValidationError):  # a one-sample block has no gap
-        wc.empirical_dependence(v, samples=20_000, block_size=1)
 
 
 def test_per_group_dictionaries():
@@ -449,11 +515,11 @@ def test_empirical_rows_ignore_the_worker_count(monkeypatch, workers):
     assert rows_digest(four) == "f7b19704888c735ecfc07feedcbb8cd45de1b6c5ea7982d469c7e52760ca1e8c"
 
 
-def tuple_loop_rows(vector, dictionaries, samples, seed, block_size):
+def tuple_loop_rows(vector, dictionaries, samples, seed):
     # reference: one tuple at a time, products left to right, one mean each
     combos = list(itertools.product(*[range(len(d)) for d in dictionaries]))
     stats = [[] for _ in combos]
-    batch = wc.montecarlo.sample(seed, vector.space.dimension, samples, block_size)
+    batch = wc.montecarlo.sample(seed, vector.space.dimension, samples)
     for b in range(batch.n_full_blocks):
         block = batch.block(b)
         values = []
@@ -484,13 +550,14 @@ def tuple_loop_rows(vector, dictionaries, samples, seed, block_size):
 
 def test_reduction_matches_the_tuple_loop():
     # unequal per-group dictionaries, two-element groups and a partial last
-    # block: the block pass keeps the loop's summation order bit for bit
+    # block (64 full blocks of 156, then 16 samples): the block pass keeps
+    # the loop's summation order bit for bit
     v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2, 1), (2, 1, 2), theta=0.5), 4)
     full = default_dictionary()
     dictionaries = [full[:3], full[2:7], full[5:7]]
-    result = wc.empirical_dependence(v, dictionaries, samples=10_000, seed=6, block_size=300)
-    assert result.n_blocks == 33
-    assert repr(result.rows) == repr(tuple_loop_rows(v, dictionaries, 10_000, 6, 300))
+    result = wc.empirical_dependence(v, dictionaries, samples=10_000, seed=6)
+    assert result.n_blocks == 64
+    assert repr(result.rows) == repr(tuple_loop_rows(v, dictionaries, 10_000, 6))
 
 
 def test_empirical_rows_ignore_blas_threads():
