@@ -26,7 +26,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -245,8 +245,8 @@ class EmpiricalDependence:
         cross pair has zero squared covariance or a tuple's budget is zero.
         """
         cov_root_sum = _cross_cov_root_sum(report.pairs)
-        ratios = (gap / _budget(labels, f, cov_root_sum) for (labels, gap, _), f in zip(self.rows, self.budgets))
-        return max([0.0, *ratios])  # a running max from 0.0, in tuple order
+        budgets = (_budget(labels, f, cov_root_sum) for (labels, _, _), f in zip(self.rows, self.budgets))
+        return _max_ratio(self.rows, budgets)
 
 
 @dataclass(frozen=True)
@@ -427,6 +427,11 @@ def _budget(labels: tuple[str, ...], factors: tuple[float, ...], cov_root_sum: f
     return budget
 
 
+def _max_ratio(rows: Sequence[tuple[tuple[str, ...], float, float]], budgets: Iterable[float]) -> float:
+    """Largest gap over budget: a running max from 0.0, in tuple order."""
+    return max([0.0, *(gap / budget for (_, gap, _), budget in zip(rows, budgets))])
+
+
 def empirical_dependence(
     vector: ChaosVector,
     functions: Sequence[Sequence[TestFunction]] | None = None,
@@ -455,7 +460,12 @@ def empirical_dependence(
     ValidationError, and more than MAX_TUPLES tuples raise
     ResourceLimitError, before any sample is drawn.
     """
-    dictionaries, labels, budgets = _plan(vector, functions, samples)
+    return _draw(vector, _plan(vector, functions, samples), samples, seed)
+
+
+def _draw(vector: ChaosVector, plan: tuple, samples: int, seed: int) -> EmpiricalDependence:
+    """Sample a plan from _plan and reduce every tuple's block gaps."""
+    dictionaries, labels, budgets = plan
     # samples >= MIN_SAMPLES: exactly DEFAULT_BLOCKS full blocks of >= 156 samples
     batch = montecarlo.sample(seed, vector.space.dimension, samples)
     n_blocks = batch.n_full_blocks
@@ -520,10 +530,9 @@ def bound_ratio(
     """
     report = criterion_check(vector)
     cov_root_sum = _cross_cov_root_sum(report.pairs)
-    dictionaries, labels, factors = _plan(vector, functions, samples)
-    budgets = [_budget(tuple_labels, f, cov_root_sum) for tuple_labels, f in zip(labels, factors)]
-    rows = empirical_dependence(vector, dictionaries, samples, seed).rows
-    return max([0.0, *(gap / budget for (_, gap, _), budget in zip(rows, budgets))])  # as in ratio
+    plan = _plan(vector, functions, samples)
+    budgets = [_budget(labels, f, cov_root_sum) for labels, f in zip(*plan[1:])]  # every one, before the draw
+    return _max_ratio(_draw(vector, plan, samples, seed).rows, budgets)
 
 
 def _cross_cov_root_sum(pairs: Sequence[PairRow]) -> float:
