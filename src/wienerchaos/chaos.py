@@ -27,7 +27,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError
+from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError, _integer
 from .hermite import hermite_orders
 from .tensor import HilbertSpace, SymmetricTensor, _float_ops, _run_starts, contract, contract_sym, inner, occupation
 
@@ -92,17 +92,18 @@ class ChaosExpansion:
     __slots__ = ("space", "components")
 
     def __init__(self, space: HilbertSpace, components: dict[int, SymmetricTensor]):
+        checked = {}
         for order, tensor in components.items():
-            if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-                raise ValidationError(f"component order must be a non-negative integer, got {order!r}")
+            order = _integer(order, "component order")
             if not isinstance(tensor, SymmetricTensor):
                 raise ValidationError(f"component at order {order} is a {type(tensor).__name__}, not a SymmetricTensor")
             if tensor.order != order:
                 raise ValidationError(f"component at order {order} has tensor order {tensor.order}")
             if tensor.space != space:
                 raise ValidationError("all components must share the expansion space")
+            checked[order] = tensor
         self.space = space
-        self.components = {order: components[order] for order in sorted(components) if len(components[order].val)}
+        self.components = {order: checked[order] for order in sorted(checked) if len(checked[order].val)}
 
     def __repr__(self) -> str:
         return f"ChaosExpansion(N={self.space.dimension}, orders={sorted(self.components)})"
@@ -139,22 +140,22 @@ def evaluate(obj: Union[ChaosElement, ChaosExpansion], x: np.ndarray) -> Union[f
         One sample of shape (N,) for a scalar result, or a batch of shape
         (count, N) for per-sample values.
     """
+    if not isinstance(obj, (ChaosElement, ChaosExpansion)):
+        raise ValidationError(f"expected a chaos element or expansion, got {type(obj).__name__}")
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != _space_of(obj).dimension:
-        raise ValidationError(f"sample array shape {np.shape(x)} does not match dimension {_space_of(obj).dimension}")
+    if arr.ndim != 2 or arr.shape[1] != obj.space.dimension:
+        raise ValidationError(f"sample array shape {np.shape(x)} does not match dimension {obj.space.dimension}")
     if isinstance(obj, ChaosElement):
         values = _evaluate_prepared(*obj.prepared(), arr)
-    elif isinstance(obj, ChaosExpansion):
+    else:
         values = np.full(arr.shape[0], obj.expectation())
         for order in sorted(obj.components):
             if order == 0:
                 continue
             values = values + _evaluate_prepared(*ChaosElement(obj.components[order]).prepared(), arr)
-    else:
-        raise ValidationError(f"cannot evaluate object of type {type(obj).__name__}")
     return float(values[0]) if single else values
 
 
@@ -166,12 +167,6 @@ def _evaluate_prepared(coords, counts, offsets, coeffs, x: np.ndarray) -> np.nda
             term = term * hermite_orders(int(counts[s]), x[:, coords[s]])[-1]
         out = out + term
     return out
-
-
-def _space_of(obj) -> HilbertSpace:
-    if isinstance(obj, (ChaosElement, ChaosExpansion)):
-        return obj.space
-    raise ValidationError(f"expected a chaos element or expansion, got {type(obj).__name__}")
 
 
 def variance(element: ChaosElement) -> float:

@@ -224,7 +224,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     vector = load_vector(args.manifest)
-    if not isinstance(args.samples, int) or args.samples < 1:
+    if args.samples < 1:
         raise WienerChaosError(f"--samples must be a positive integer, got {args.samples!r}")
     config = {
         "subcommand": "simulate",

@@ -1,4 +1,13 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the two readers of scalar arguments.
+
+Every integer argument goes through _integer and every real one through
+_real, so each kind has one rule: integers are any non-bool
+numbers.Integral (Python or numpy) stored as int, reals any non-bool
+numbers.Real stored as float.
+"""
+
+import math
+import numbers
 
 
 class WienerChaosError(Exception):
@@ -19,3 +28,24 @@ class ResourceLimitError(WienerChaosError):
 
 class DegenerateInputError(WienerChaosError):
     """An input is structurally valid but degenerate for the requested operation."""
+
+
+def _integer(value, what: str, low: int = 0, high: int | None = None, error: type = ValidationError) -> int:
+    """value as an int if it is a non-bool numbers.Integral in low..high (no upper end when high is None).
+
+    Anything else raises `error` (a loader passes InvalidKernelError and a `what` led by its location).
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        number = int(value)
+        if low <= number and (high is None or number <= high):
+            return number
+    span = f">= {low}" if high is None else f"in {low}..{high}"
+    raise error(f"{what} must be an integer {span}, got {value!r}")
+
+
+def _real(value) -> float:
+    """value as a float; nan for a bool, a non-real, or a real too large for a float."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:
+        return math.nan

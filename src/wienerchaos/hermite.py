@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import _integer
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -33,8 +33,7 @@ def hermite_orders(max_order: int, x: np.ndarray) -> list:
 
 def hermite(q: int, x: ArrayLike) -> ArrayLike:
     """Evaluate H_q at x (scalar or array) by the three-term recurrence."""
-    if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-        raise ValidationError(f"hermite order must be a non-negative integer, got {q!r}")
+    q = _integer(q, "hermite order")
     xa = np.asarray(x, dtype=np.float64)
     out = np.empty_like(xa)
     out[...] = hermite_orders(q, xa)[q]

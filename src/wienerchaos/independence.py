@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from .chaos import (
     evaluate,
     variance,
 )
-from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError
+from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError, _integer, _real
 
 # Statistical floor: below this many samples the block machinery is noise.
 MIN_SAMPLES = 10_000
@@ -143,14 +142,12 @@ class TestFunction:
         self._deriv_bound = deriv_bound
 
     def deriv_bound(self, k: int) -> float:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValidationError(f"derivative order must be a positive integer, got {k!r}")
+        k = _integer(k, "derivative order", 1)
         return _bound(self._deriv_bound(k), f"test function {self.name!r}: derivative bound {k}")
 
     def norm(self, q: int) -> float:
         """sup |f| plus the derivative sup bounds up to total order q."""
-        if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-            raise ValidationError(f"norm order must be a non-negative integer, got {q!r}")
+        q = _integer(q, "norm order")
         return self.sup + sum(self.deriv_bound(k) for k in range(1, q + 1))
 
     def __repr__(self) -> str:
@@ -158,9 +155,9 @@ class TestFunction:
 
 
 def _bound(value, what: str) -> float:
-    # comparisons are exact across ints and floats, and false for NaN
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 <= value <= sys.float_info.max:
-        return float(value)
+    bound = _real(value)
+    if 0.0 <= bound <= sys.float_info.max:  # false for nan
+        return bound
     raise ValidationError(f"{what} must be a finite real >= 0, got {value!r}")
 
 
@@ -223,8 +220,10 @@ class EmpiricalDependence:
     """Largest factorization gap over dictionary tuples, with its stderr.
 
     rows holds (labels, |gap|, stderr) per tuple; budgets holds, per row,
-    the dictionary factors of its ratio budget: ||psi_d'||_inf for the last
-    group, then each other group's dictionary norm at order q_1.
+    the dictionary factors of its ratio budget: ||psi_d'||_inf
+    ||psi_d||_inf^(m_d - 1) for the last group d, then ||psi_j||_(q_1)^m_j
+    for each other group j, with m_j the group sizes and ||psi||_(q_1) =
+    TestFunction.norm(q_1).
     """
 
     gap: float
@@ -318,21 +317,21 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
     """
     if vector.d < 2:
         raise ValidationError("criterion checks need at least two groups")
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and tol > 0):
+    width = _real(tol)  # a float: a float32 tol would round every comparison to float32
+    if not width > 0.0:  # false for nan
         raise ValidationError(f"tolerance must be a positive real, got {tol!r}")
-    tol = float(tol)  # a float32 tol would round every comparison to float32
     cov_matrix, rows = exact_pairs(vector)
     cross = [row for row in rows if row.cross]
     witness_cov = max(cross, key=lambda row: row.cov2)
     witness_norm = max(cross, key=lambda row: row.max_norm)
     return IndependenceReport(
-        tol=tol,
+        tol=width,
         orders=vector.orders,
         sizes=vector.sizes,
         cov_matrix=cov_matrix,
         pairs=tuple(rows),
-        cov_pass=all(row.cov2 < tol for row in cross),
-        contraction_pass=all(row.max_norm < tol for row in cross),
+        cov_pass=all(row.cov2 < width for row in cross),
+        contraction_pass=all(row.max_norm < width for row in cross),
         witness_cov=witness_cov.cov2,
         witness_cov_pair=(witness_cov.i, witness_cov.j),
         witness_norm=witness_norm.max_norm,
@@ -399,8 +398,7 @@ def _plan(vector: ChaosVector, functions: Sequence[Sequence[TestFunction]] | Non
     """
     if vector.d < 2:
         raise ValidationError("dependence gaps need at least two groups")
-    if not isinstance(samples, int) or samples < MIN_SAMPLES:
-        raise ValidationError(f"samples must be an integer >= {MIN_SAMPLES}, got {samples!r}")
+    _integer(samples, "samples", MIN_SAMPLES)
     dictionaries = [default_dictionary() for _ in vector.groups] if functions is None else functions
     if not isinstance(dictionaries, Sequence) or len(dictionaries) != vector.d:
         raise ValidationError(f"functions must hold one dictionary per group ({vector.d}), got {functions!r}")
@@ -498,8 +496,8 @@ def _draw(vector: ChaosVector, plan: tuple, samples: int, seed: int) -> Empirica
         gap=best[1],
         stderr=best[2],
         labels=best[0],
-        samples=samples,
-        seed=seed,
+        samples=batch.count,
+        seed=batch.seed,
         n_blocks=n_blocks,
         rows=rows,
         budgets=tuple(budgets),
@@ -514,9 +512,10 @@ def bound_ratio(
 ) -> float:
     """Empirical gap over its theoretical budget, maximized over tuples.
 
-    The budget for a tuple is ||psi_d'||_inf times the product over the
-    other groups of the dictionary norms at order q_1, times the sum over
-    cross-group element pairs of sqrt(Cov(F_i^2, F_j^2)).  The square root
+    The budget for a tuple is ||psi_d'||_inf ||psi_d||_inf^(m_d - 1) for
+    the last group d, times ||psi_j||_(q_1)^m_j for each other group j (m_j
+    the group sizes, ||psi||_(q_1) = TestFunction.norm(q_1)), times the sum
+    over cross-group element pairs of sqrt(Cov(F_i^2, F_j^2)).  The square root
     is the scale on which the covariance controls contraction norms (see
     the module docstring), so boundedness of this ratio along a family is
     the content of the existential constant in the factorization bound.

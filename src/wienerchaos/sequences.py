@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import numbers
 import os
 import warnings
 from collections.abc import Iterable, Mapping
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chaos import STANDARDIZED_TOL, ChaosElement, variance
-from .exceptions import DegenerateInputError, InvalidKernelError, ValidationError
+from .exceptions import DegenerateInputError, InvalidKernelError, ValidationError, _integer, _real
 from .independence import ChaosVector
 from .tensor import HilbertSpace, RawTensor, SymmetricTensor, _checked_rows
 
@@ -60,21 +59,20 @@ class FamilySpec:
             raise ValidationError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         orders = tuple(self.orders)
         sizes = tuple(self.sizes)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "sizes", sizes)
         if len(orders) < 2:
             raise ValidationError("a family needs at least two groups")
         if len(sizes) != len(orders):
             raise ValidationError(f"got {len(orders)} orders but {len(sizes)} sizes")
-        if any(not isinstance(q, int) or isinstance(q, bool) or q < 1 for q in orders):
-            raise ValidationError(f"orders must be positive integers, got {orders}")
+        orders = tuple(_integer(q, "group order", 1) for q in orders)
         if any(q1 < q2 for q1, q2 in zip(orders, orders[1:])):
             raise ValidationError(f"orders must be non-increasing, got {orders}")
-        if any(not isinstance(m, int) or isinstance(m, bool) or m < 1 for m in sizes):
-            raise ValidationError(f"group sizes must be positive integers, got {sizes}")
-        if isinstance(self.theta, bool) or not (isinstance(self.theta, numbers.Real) and 0.0 <= self.theta <= 1.0):
+        sizes = tuple(_integer(m, "group size", 1) for m in sizes)
+        theta = _real(self.theta)
+        if not 0.0 <= theta <= 1.0:  # false for nan
             raise ValidationError(f"theta must be a real in [0, 1], got {self.theta!r}")
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "theta", theta)
         if self.family == "mixed_orders":
             if len(orders) != 2 or orders[0] <= orders[1]:
                 raise ValidationError(
@@ -113,8 +111,7 @@ def generate(spec: FamilySpec, n: int) -> ChaosVector:
     n // m_j block coordinates, so n must be at least max(sizes).  The
     persistent family's dimension is sum(sizes) + 1 independent of n.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"family index n must be a positive integer, got {n!r}")
+    n = _integer(n, "family index n", 1)
     if spec.family == "persistent_overlap":  # one coordinate per element
         return _blocked_vector(spec, spec.sizes, spec.theta)
     delta = 0.0 if spec.family == "disjoint" else spec.theta * n**-0.25
@@ -190,13 +187,8 @@ def _parse_table(document, where: str, kind: type):
     for key in ("dimension", *sides.values(), "entries"):
         if key not in document:
             raise InvalidKernelError(f"{where}: missing required key {key!r}")
-    dimension = document["dimension"]
-    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        raise InvalidKernelError(f"{where}: dimension must be a positive integer, got {dimension!r}")
-    orders = tuple(document[key] for key in sides.values())
-    for key, order in zip(sides.values(), orders):
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise InvalidKernelError(f"{where}: {key} must be a non-negative integer, got {order!r}")
+    dimension = _integer(document["dimension"], f"{where}: dimension", 1, error=InvalidKernelError)
+    orders = tuple(_integer(document[key], f"{where}: {key}", error=InvalidKernelError) for key in sides.values())
     raw_entries = document["entries"]
     if not isinstance(raw_entries, list):
         raise InvalidKernelError(f"{where}: entries must be a list")
@@ -269,18 +261,14 @@ def load_vector(source: str | Mapping) -> ChaosVector:
     if "groups" not in document or not isinstance(document["groups"], list) or not document["groups"]:
         raise InvalidKernelError(f"{where}: manifest needs a non-empty groups list")
     dimension = document.get("dimension")
-    if dimension is not None and (
-        not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1
-    ):
-        raise InvalidKernelError(f"{where}: dimension must be a positive integer, got {dimension!r}")
+    if dimension is not None:
+        dimension = _integer(dimension, f"{where}: dimension", 1, error=InvalidKernelError)
     groups = []
     for g, group_doc in enumerate(document["groups"]):
         label = f"{where}: group {g + 1}"
         if not isinstance(group_doc, Mapping) or "order" not in group_doc or "elements" not in group_doc:
             raise InvalidKernelError(f'{label} must be an object with "order" and "elements"')
-        order = group_doc["order"]
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            raise InvalidKernelError(f"{label}: order must be a positive integer, got {order!r}")
+        order = _integer(group_doc["order"], f"{label}: order", 1, error=InvalidKernelError)
         element_docs = group_doc["elements"]
         if not isinstance(element_docs, list) or not element_docs:
             raise InvalidKernelError(f"{label}: elements must be a non-empty list")

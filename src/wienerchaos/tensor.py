@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .exceptions import InvalidKernelError, ResourceLimitError, ValidationError
+from .exceptions import InvalidKernelError, ResourceLimitError, ValidationError, _integer, _real
 
 # Exact integer multiplicity arithmetic is guaranteed up to this order.
 MAX_ORDER = 20
@@ -52,8 +51,7 @@ class HilbertSpace:
     dimension: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dimension, int) or isinstance(self.dimension, bool) or self.dimension < 1:
-            raise ValidationError(f"space dimension must be a positive integer, got {self.dimension!r}")
+        object.__setattr__(self, "dimension", _integer(self.dimension, "space dimension", 1))
         if self.dimension >= 2**63:
             raise ResourceLimitError(f"space dimension {self.dimension} leaves the int64 range of index rows")
 
@@ -79,20 +77,13 @@ def multiplicity(index: Index) -> int:
     return count
 
 
-def _check_order(*orders) -> None:
+def _check_order(*orders) -> tuple[int, ...]:
+    """The orders as ints, each in 0..MAX_ORDER."""
+    orders = tuple(_integer(order, "order") for order in orders)
     for order in orders:
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise ValidationError(f"order must be a non-negative integer, got {order!r}")
         if order > MAX_ORDER:
             raise ResourceLimitError(f"order {order} exceeds the exact-arithmetic limit {MAX_ORDER}")
-
-
-def _real(value) -> float:
-    """value as a float; nan for a bool, a non-real, or a real too large for a float."""
-    try:
-        return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
-    except OverflowError:
-        return math.nan
+    return orders
 
 
 def _checked_rows(sides, values, orders, dimension, names=("index",), ascending=True, where=None):
@@ -106,7 +97,7 @@ def _checked_rows(sides, values, orders, dimension, names=("index",), ascending=
     ValidationError, or InvalidKernelError "{where}: entry k: ..." from a document.  Later rules see an
     entry that broke an earlier one through a stand-in, so only the first rule it breaks is reported.
     """
-    _check_order(*orders)
+    orders = _check_order(*orders)
     count = len(values)
     broken = []  # (entries that break a rule, its message for entry k), in rule order
 
@@ -199,7 +190,7 @@ class _Table:
 
     def _set(self, space: HilbertSpace, orders: tuple[int, ...], idx: np.ndarray, val: np.ndarray):
         """Store distinct rows given in lexicographic order; values must be finite, exact zeros are dropped."""
-        _check_order(*orders)
+        orders = _check_order(*orders)
         self.space, self._view = space, None
         for name, order in zip(self._ORDERS, orders):
             setattr(self, name, order)
@@ -476,8 +467,7 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
     """
     if f.space != g.space:
         raise ValidationError("contraction requires tensors over the same space")
-    if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r <= min(f.order, g.order):
-        raise ValidationError(f"contraction rank {r!r} outside 0..min({f.order}, {g.order})")
+    r = _integer(r, "contraction rank", 0, min(f.order, g.order))
     entry_f, sub_f, rest_f = _cuts(f, r)
     entry_g, sub_g, rest_g = _cuts(g, r)
     subs, group = _unique_rows(np.concatenate([sub_f, sub_g]))

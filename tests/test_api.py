@@ -33,8 +33,9 @@ def _first(iterator):
     return next(iter(iterator))
 
 
-# Numeric arguments reject bools, and integer ones non-integers, with
-# ValidationError: never a raw TypeError or a silent conversion.
+# Numeric arguments reject bools, integer ones non-integers and real ones
+# reals too large for a float, with ValidationError: never a raw TypeError,
+# OverflowError or a silent conversion.
 @pytest.mark.parametrize(
     "call",
     [
@@ -46,7 +47,9 @@ def _first(iterator):
         lambda: _first(wc.sample(0, 2, 1000).map_blocks(len, stop=True)),
         lambda: _first(wc.sample(0, 2, 1000).map_blocks(len, stop=1.0)),
         lambda: wc.criterion_check(_vector(), tol=True),
+        lambda: wc.criterion_check(_vector(), tol=10**400),
         lambda: wc.hermite(True, 2.0),
+        lambda: wc.hermite(np.bool_(True), 2.0),
         lambda: wc.hermite(2.0, 2.0),
         lambda: wc.default_dictionary()[0].norm(True),
         lambda: wc.default_dictionary()[0].deriv_bound(True),
@@ -61,7 +64,9 @@ def _first(iterator):
         "map_blocks-bool-stop",
         "map_blocks-float-stop",
         "criterion_check-bool-tol",
+        "criterion_check-tol-beyond-float",
         "hermite-bool-order",
+        "hermite-numpy-bool-order",
         "hermite-float-order",
         "norm-bool-order",
         "deriv_bound-bool-order",
@@ -71,6 +76,32 @@ def _first(iterator):
 def test_integer_arguments_reject_bools_and_non_integers(call):
     with pytest.raises(ValidationError):
         call()
+
+
+# Integer arguments take any non-bool numbers.Integral and are stored as
+# ints, so a numpy integer gives the plain-int result and never reaches
+# n**order or json.dumps as a numpy scalar.
+def test_integer_arguments_accept_numpy_integers():
+    i = np.int64
+    space = wc.HilbertSpace(i(3))
+    assert type(space.dimension) is int and space == wc.HilbertSpace(3)
+    f, g = _pair()
+    raw = wc.contract(f, g, i(1))
+    assert (type(raw.left_order), type(raw.right_order)) == (int, int) and raw == wc.contract(f, g, 1)
+    x = np.linspace(-2.0, 2.0, 5)
+    assert np.array_equal(wc.hermite(i(3), x), wc.hermite(3, x))
+    batch = wc.sample(i(5), np.uint32(2), i(1000))
+    assert {type(field) for field in (batch.seed, batch.dimension, batch.count, batch.block_size)} == {int}
+    assert batch == wc.sample(5, 2, 1000) and np.array_equal(batch.block(i(3)), wc.sample(5, 2, 1000).block(3))
+    spec = wc.FamilySpec("vanishing_overlap", (i(2), np.int32(2)), (np.uint8(1), i(1)))
+    assert {type(field) for field in spec.orders + spec.sizes} == {int}
+    assert spec == wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1))
+    vector = wc.generate(spec, i(4))
+    assert type(vector.space.dimension) is int
+    assert wc.sequences.vector_document(vector) == wc.sequences.vector_document(_vector())
+    result = wc.empirical_dependence(vector, samples=i(10_000), seed=i(3))
+    assert (type(result.samples), type(result.seed)) == (int, int)
+    assert result == wc.empirical_dependence(_vector(), samples=10_000, seed=3)
 
 
 # Real arguments take any non-bool numbers.Real and are stored as floats,

@@ -81,6 +81,8 @@ def test_evaluate_rejects_wrong_width():
     el = ChaosElement(SymmetricTensor(sp, 1, {(1,): 1.0}))
     with pytest.raises(ValidationError):
         evaluate(el, np.zeros((5, 3)))
+    with pytest.raises(ValidationError, match="expected a chaos element or expansion, got SymmetricTensor"):
+        evaluate(el.kernel, np.zeros((5, 2)))
 
 
 def test_evaluate_bytes_are_pinned():
@@ -338,6 +340,11 @@ def test_variance_and_normalize():
     zero = ChaosElement(SymmetricTensor(sp, 1, {(1,): 0.5})).kernel.scaled(0.0)
     with pytest.raises(DegenerateInputError):
         normalize(ChaosElement(zero))
+
+
+def test_element_needs_a_symmetric_tensor():
+    with pytest.raises(ValidationError, match="kernel must be a SymmetricTensor, got dict"):
+        ChaosElement({(1,): 1.0})
 
 
 def test_element_rejects_order_zero():

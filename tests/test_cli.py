@@ -256,6 +256,38 @@ def test_cli_imports_no_private_names():
     assert [name for name in _private_imports("sequences") if name.startswith("tensor.")] == ["tensor._checked_rows"]
 
 
+def _type_checks(path: Path) -> list:
+    """'module.function:line' of each isinstance(_, int or bool) call and numbers.Integral or Real use."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for function in ast.walk(tree):  # outer functions first: a nested one belongs to its outermost
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                owner.setdefault(node, function.name)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+            hit = any(isinstance(kind, ast.Name) and kind.id in ("int", "bool") for kind in kinds)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            hit = node.value.id == "numbers" and node.attr in ("Integral", "Real")
+        else:
+            hit = isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        if hit:
+            found.append(f"{path.stem}.{owner.get(node, '<module>')}:{node.lineno}")
+    return found
+
+
+def test_scalar_arguments_are_read_by_the_two_readers_alone():
+    # every integer and real argument goes through exceptions._integer or
+    # exceptions._real; only tensor._checked_rows keeps its own array-level
+    # entry rule, under which index coordinates are plain ints
+    package = Path(wc.__file__).parent
+    found = [hit for path in sorted(package.glob("*.py")) if path.name != "exceptions.py" for hit in _type_checks(path)]
+    assert {hit.split(":")[0] for hit in found} == {"tensor._checked_rows"}, found
+    assert _type_checks(package / "exceptions.py")  # the readers themselves are seen
+
+
 # perfbench hooks whose targets are gone; every other hook must resolve
 ABSENT_HOOKS = {
     "chaos.multiply@wienerchaos.independence.multiply",
@@ -441,6 +473,27 @@ def test_simulate_failing_midway_leaves_no_file(workdir, monkeypatch):
     assert next(calls) > 10
     assert not os.path.exists("s.csv")
     assert not os.path.exists("s.csv.tmp")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "persistent.json", "--samples", str(10**12)],
+        ["simulate", "persistent.json", "--samples", str(10**12)],
+        ["simulate", "persistent.json", "--samples", "0"],
+    ],
+    ids=["check-beyond-the-block-cap", "simulate-beyond-the-block-cap", "simulate-zero"],
+)
+def test_bad_sample_counts_exit_2_and_leave_no_file(workdir, monkeypatch, capsys, argv):
+    # a block too large for memory is refused before numpy is asked for it
+    def refuse(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(montecarlo, "_block_normals", refuse)
+    assert main(argv + ["--out", "out.txt"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists("out.txt")
+    assert not os.path.exists("out.txt.tmp")
 
 
 def test_check_without_samples_starts_no_thread(workdir, monkeypatch):

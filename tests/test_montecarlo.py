@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from wienerchaos import montecarlo
-from wienerchaos.exceptions import ValidationError
+from wienerchaos.exceptions import ResourceLimitError, ValidationError
 from wienerchaos.montecarlo import GENERATOR_TAG, _block_normals, sample
 
 
@@ -88,6 +88,20 @@ def test_validation_errors():
     batch = sample(seed=0, dimension=1, count=100)
     with pytest.raises(ValidationError):
         batch.block(batch.n_blocks)
+
+
+def test_a_block_beyond_the_cap_raises_before_it_is_drawn(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(montecarlo, "_block_normals", lambda seed, block, size, n: drawn.append(size * n))
+    cap = montecarlo._MAX_BLOCK
+    assert cap == 2**25  # 256 MiB of doubles
+    sample(0, 2, 2 * cap, block_size=cap // 2).block(0)
+    with pytest.raises(ResourceLimitError):
+        sample(0, 2, 2 * cap, block_size=cap // 2 + 1).block(0)
+    batch = sample(0, 1, 2**40 - 1)  # a plan allocates nothing; its blocks are too large to draw
+    with pytest.raises(ResourceLimitError):
+        batch.block(0)
+    assert drawn == [cap]
 
 
 def test_normals_are_finite_and_standard():

@@ -286,6 +286,9 @@ def test_load_kernel_error_cases(tmp_path):
     rejects({"dimension": 2, "order": 1}, "entries")
     rejects({"dimension": 0, "order": 1, "entries": []}, "dimension")
     rejects({"dimension": 2, "order": -1, "entries": []}, "order")
+    rejects({"dimension": 2.0, "order": 1, "entries": []}, "kernel: dimension must be an integer >= 1, got 2.0")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    rejects(str(tmp_path / "list.json"), "list.json: document must be a JSON object")
     rejects({"dimension": 2, "order": 1, "entries": {}}, "list")
     rejects({"dimension": 2, "order": 1, "entries": [{"index": [1]}]}, "entry 1")
     rejects(
@@ -549,6 +552,9 @@ def test_load_vector_error_cases(tmp_path):
     rejects({}, "groups")
     rejects({"groups": []}, "non-empty")
     rejects({"groups": [{"elements": []}]}, "order")
+    element = {"dimension": 2, "order": 1, "entries": [{"index": [1], "value": 1.0}]}
+    rejects({"dimension": "2", "groups": [{"order": 1, "elements": [element]}]}, "vector: dimension must be an integer")
+    rejects({"groups": [{"order": 1.0, "elements": [element]}]}, "vector: group 1: order must be an integer >= 1")
     rejects({"groups": [{"order": 1, "elements": []}]}, "non-empty")
     rejects({"groups": [{"order": 1, "elements": [7]}]}, "path or an inline kernel")
     rejects(

@@ -167,8 +167,23 @@ def test_constructor_validates_and_lookup_sorts():
         lambda sp: SymmetricTensor(sp, 1, {(1,): "x"}),
         lambda sp: symmetrize({3: 2.0}, sp),
         lambda sp: RawTensor(sp, 1, 1, {((1,), (2,)): 1.0, 5: 1.0}),
+        lambda sp: symmetrize(np.array(1.0)),
+        lambda sp: symmetrize(np.ones((3, 2)), sp),
+        lambda sp: symmetrize({(1, 2): 1.0}),
+        lambda sp: symmetrize({}, sp),
+        lambda sp: symmetrize([1.0, 2.0], sp),
     ],
-    ids=["int-key", "string-value", "symmetrize-int-key", "raw-int-key"],
+    ids=[
+        "int-key",
+        "string-value",
+        "symmetrize-int-key",
+        "raw-int-key",
+        "symmetrize-scalar-array-without-space",
+        "symmetrize-non-square-array",
+        "symmetrize-mapping-without-space",
+        "symmetrize-empty-mapping-without-order",
+        "symmetrize-list",
+    ],
 )
 def test_malformed_entries_raise_validation_error(build):
     # checked before any key is sorted or value converted
@@ -300,6 +315,14 @@ def test_inner_matches_dense():
         expected = float(np.sum(f.to_dense() * g.to_dense()))
         assert abs(inner(f, g) - expected) < 1e-12
     assert abs(inner(f, f) - f.norm() ** 2) < 1e-12
+
+
+def test_inner_rejects_mismatched_spaces_and_orders():
+    f = SymmetricTensor(HilbertSpace(2), 1, {(1,): 1.0})
+    with pytest.raises(ValidationError, match="same space"):
+        inner(f, SymmetricTensor(HilbertSpace(3), 1, {(1,): 1.0}))
+    with pytest.raises(ValidationError, match="equal orders"):
+        inner(f, SymmetricTensor(HilbertSpace(2), 2, {(1, 1): 1.0}))
 
 
 def test_inner_of_a_tensor_with_itself_matches_the_general_path():
