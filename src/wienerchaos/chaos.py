@@ -28,7 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError, _integer
-from .hermite import hermite_orders
+from .hermite import _hermite
 from .tensor import HilbertSpace, SymmetricTensor, _float_ops, _run_starts, contract, contract_sym, inner, occupation
 
 # Guards for the brute-force moment oracle.
@@ -164,7 +164,7 @@ def _evaluate_prepared(coords, counts, offsets, coeffs, x: np.ndarray) -> np.nda
     for e in range(coeffs.shape[0]):
         term = coeffs[e]
         for s in range(offsets[e], offsets[e + 1]):
-            term = term * hermite_orders(int(counts[s]), x[:, coords[s]])[-1]
+            term = term * _hermite(int(counts[s]), x[:, coords[s]])
         out = out + term
     return out
 
@@ -223,18 +223,24 @@ def cov_squares_and_norms(left: ChaosElement, right: ChaosElement) -> tuple[floa
     """
     if left.space != right.space:
         raise ValidationError("squared covariance requires elements over the same space")
-    p, q = left.order, right.order
-    total = 0.0
-    norms = []
-    for r in range(1, min(p, q) + 1):
+    norms, sym_norms = [], []
+    for r in range(1, min(left.order, right.order) + 1):
         norm, sym = contract(left.kernel, right.kernel, r).norm_and_symmetrized()
+        norms.append(norm)
+        sym_norms.append(sym.norm())
+    return _cov_from_norms(left.order, right.order, norms, sym_norms), norms
+
+
+def _cov_from_norms(p: int, q: int, norms: Sequence[float], sym_norms: Sequence[float]) -> float:
+    """The cov_squares sum from ||f (x)_r g|| and ||f (x~)_r g||, r = 1..min(p, q), added from 0.0 in r order."""
+    total = 0.0
+    for r, (norm, sym_norm) in enumerate(zip(norms, sym_norms), 1):
         pairs = math.comb(p, r) * math.comb(q, r)
         total += pairs * (
             math.factorial(p) * math.factorial(q) * norm**2
-            + math.factorial(r) ** 2 * pairs * math.factorial(p + q - 2 * r) * sym.norm() ** 2
+            + math.factorial(r) ** 2 * pairs * math.factorial(p + q - 2 * r) * sym_norm**2
         )
-        norms.append(norm)
-    return total, norms
+    return total
 
 
 # Monomial coefficients of H_a: H_a(x) = sum_m (-1)^m x^(a-2m) / (m! 2^m (a-2m)!).

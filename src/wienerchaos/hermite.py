@@ -17,18 +17,16 @@ from .exceptions import _integer
 ArrayLike = Union[float, np.ndarray]
 
 
-def hermite_orders(max_order: int, x: np.ndarray) -> list:
-    """[H_0(x), ..., H_max_order(x)] by the three-term recurrence.
+def _hermite(q: int, x: np.ndarray) -> ArrayLike:
+    """H_q(x) by the three-term recurrence, holding only the last two orders.
 
     H_0 is the scalar 1.0 and H_1 is x itself, not a copy; every higher
     order is a new array.
     """
     prev, cur = 1.0, x
-    table = [prev, cur]
-    for k in range(1, max_order):
+    for k in range(1, q):
         prev, cur = cur, (x * cur - prev) / (k + 1)
-        table.append(cur)
-    return table[: max_order + 1]
+    return cur if q else prev
 
 
 def hermite(q: int, x: ArrayLike) -> ArrayLike:
@@ -36,5 +34,5 @@ def hermite(q: int, x: ArrayLike) -> ArrayLike:
     q = _integer(q, "hermite order")
     xa = np.asarray(x, dtype=np.float64)
     out = np.empty_like(xa)
-    out[...] = hermite_orders(q, xa)[q]
+    out[...] = _hermite(q, xa)
     return float(out) if np.isscalar(x) else out

@@ -33,11 +33,12 @@ from . import montecarlo
 from .chaos import (
     STANDARDIZED_TOL,
     ChaosElement,
-    cov_squares_and_norms,
+    _cov_from_norms,
     evaluate,
     variance,
 )
 from .exceptions import DegenerateInputError, ResourceLimitError, ValidationError, _integer, _real
+from .tensor import _pair_norms
 
 # Statistical floor: below this many samples the block machinery is noise.
 MIN_SAMPLES = 10_000
@@ -281,29 +282,34 @@ def exact_pairs(vector: ChaosVector) -> tuple[np.ndarray, list[PairRow]]:
 
     One pass over the upper triangle including the diagonal, so the rows
     carry the whole matrix; only rows with cross=True feed the criterion
-    verdict.  Each pair's contractions feed both its cov2 and its norms.
+    verdict.  One contraction join per r over all pairs (tensor._pair_norms)
+    feeds every pair's cov2 and norms, bit for bit those of
+    cov_squares_and_norms.
     """
     elements = vector.elements
     group_of = vector.group_index
     m = len(elements)
+    kernels = [element.kernel for element in elements]
+    by_r = [[norms.tolist() for norms in _pair_norms(kernels, r)] for r in range(1, vector.orders[0] + 1)]
     cov_matrix = np.zeros((m, m))
     rows = []
-    for i in range(m):
-        for j in range(i, m):
-            cov2, norms = cov_squares_and_norms(elements[i], elements[j])
-            cov_matrix[i, j] = cov2
-            cov_matrix[j, i] = cov2
-            rows.append(
-                PairRow(
-                    i=i + 1,
-                    j=j + 1,
-                    cross=group_of[i] != group_of[j],
-                    cov2=cov2,
-                    norms=tuple(norms),
-                    max_norm=max(norms),
-                    argmax_r=int(np.argmax(norms)) + 1,
-                )
+    for pair, (i, j) in enumerate(itertools.combinations_with_replacement(range(m), 2)):
+        p, q = elements[i].order, elements[j].order
+        norms = [raw[pair] for raw, _ in by_r[: min(p, q)]]
+        cov2 = _cov_from_norms(p, q, norms, [sym[pair] for _, sym in by_r[: min(p, q)]])
+        cov_matrix[i, j] = cov2
+        cov_matrix[j, i] = cov2
+        rows.append(
+            PairRow(
+                i=i + 1,
+                j=j + 1,
+                cross=group_of[i] != group_of[j],
+                cov2=cov2,
+                norms=tuple(norms),
+                max_norm=max(norms),
+                argmax_r=norms.index(max(norms)) + 1,
             )
+        )
     return cov_matrix, rows
 
 

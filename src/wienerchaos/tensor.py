@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -37,6 +37,12 @@ MAX_ORDER = 20
 
 # Dense materialization guard (entries of the full N**q array).
 _DENSE_LIMIT = 1 << 24
+
+# Rows one contraction join may hold; a larger join raises ResourceLimitError before it is built.
+_JOIN_LIMIT = 1 << 22
+
+# Rows a batch of element pairs is packed under in _pair_norms; a larger pair is joined alone.
+_JOIN_CHUNK = 1 << 16
 
 Index = tuple[int, ...]
 
@@ -165,14 +171,16 @@ def _run_starts(idx: np.ndarray, widths: tuple[int, ...] = ()) -> np.ndarray:
 def _multiplicities(idx: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
     """Per row, the product of multiplicity(block) over the blocks of `widths`: exact, then rounded once.
 
-    Rows with the same runs share the product, so it is taken once per run pattern.
+    A 0 coordinate pads its block and is not counted, so rows of several block widths can share
+    one call.  Rows with the same runs and pads share the product, so it is taken once per pattern.
     """
-    patterns, which = _unique_rows(_run_starts(idx, widths).view(np.int8))
-    top = math.prod(map(math.factorial, widths))
+    patterns, which = _unique_rows(_run_starts(idx, widths).view(np.int8) + 2 * (idx == 0).view(np.int8))
     exact = []
     for pattern in patterns.tolist():
+        blocks = [pattern[end - width : end] for width, end in zip(widths, itertools.accumulate(widths))]
+        top = math.prod(math.factorial(sum(p < 2 for p in block)) for block in blocks)
         # the k-th coordinate of a run divides by k, so a run of a coordinates divides by a!
-        ranks = itertools.accumulate(pattern, lambda run, opens: 1 if opens else run + 1)
+        ranks = itertools.accumulate([p for p in pattern if p < 2], lambda run, opens: 1 if opens else run + 1)
         exact.append(float(top // math.prod(ranks)))
     return np.array(exact, dtype=np.float64)[which]
 
@@ -425,22 +433,23 @@ def inner(f: SymmetricTensor, g: SymmetricTensor) -> float:
     return _running_total(_multiplicities(f.idx[at_f], (f.order,)) * f.val[at_f] * g.val[at_g])
 
 
-def _cuts(t: SymmetricTensor, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(entry, sub, rest) rows, one per distinct size-r sub-multiset of each stored index, in entry order.
+def _cuts(idx: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, sub, rest) cuts, one per distinct size-r sub-multiset of each sorted index row, in row order.
 
-    Indices with the same runs share their cuts: the first k_i coordinates of each run i, sum k_i = r.
+    Rows with the same runs share their cuts: the first k_i coordinates of each run i, sum k_i = r.
     """
-    q = t.order
-    patterns, which = _unique_rows(_run_starts(t.idx).view(np.int8))
+    q = idx.shape[1]
+    patterns, which = _unique_rows(_run_starts(idx).view(np.int8))
     entry, sub, rest = [np.zeros(0, np.intp)], [np.zeros((0, r), np.int64)], [np.zeros((0, q - r), np.int64)]
     for p, pattern in enumerate(patterns.tolist()):
         runs = [range(a, b) for a, b in itertools.pairwise([j for j in range(q) if pattern[j]] + [q])]
+        rows = np.flatnonzero(which == p)
         for take in itertools.product(*(range(len(run) + 1) for run in runs)):
             if sum(take) == r:
                 picked = [j for run, k in zip(runs, take) for j in run[:k]]
-                entry.append(np.flatnonzero(which == p))
-                sub.append(t.idx[entry[-1]][:, picked])
-                rest.append(np.delete(t.idx[entry[-1]], picked, axis=1))
+                entry.append(rows)
+                sub.append(idx[rows][:, picked])
+                rest.append(idx[rows][:, [j for j in range(q) if j not in picked]])
     order = np.argsort(np.concatenate(entry), kind="stable")
     return tuple(np.concatenate(part)[order] for part in (entry, sub, rest))
 
@@ -455,7 +464,9 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
     returned unsymmetrized as a RawTensor.
 
     Each f and g entry is cut once per distinct size-r sub-multiset; cuts with
-    equal subs join, and multiplicity(sub) * f * g adds to row (rest_f, rest_g).
+    equal subs join, and multiplicity(sub) * f * g adds to row (rest_f, rest_g)
+    in f-entry order.  A join of more than _JOIN_LIMIT rows raises
+    ResourceLimitError before it is built.
 
     Parameters
     ----------
@@ -468,19 +479,140 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
     if f.space != g.space:
         raise ValidationError("contraction requires tensors over the same space")
     r = _integer(r, "contraction rank", 0, min(f.order, g.order))
-    entry_f, sub_f, rest_f = _cuts(f, r)
-    entry_g, sub_g, rest_g = _cuts(g, r)
+    entry_f, sub_f, rest_f = _cuts(f.idx, r)
+    entry_g, sub_g, rest_g = _cuts(g.idx, r)
     subs, group = _unique_rows(np.concatenate([sub_f, sub_g]))
     group_f, group_g = group[: len(entry_f)], group[len(entry_f) :]
     by_group = np.argsort(group_g, kind="stable")  # g cuts by sub, each in entry order
     low = np.searchsorted(group_g[by_group], group_f, "left")
-    count = np.searchsorted(group_g[by_group], group_f, "right") - low
-    left = np.repeat(np.arange(len(entry_f)), count)
-    right = by_group[np.arange(len(left)) - np.repeat(np.cumsum(count) - count - low, count)]
+    left, right = _expand(low, np.searchsorted(group_g[by_group], group_f, "right") - low, by_group)
     weight = _multiplicities(subs, (r,))[group_f] * f.val[entry_f]
     keys, out = _unique_rows(np.hstack([rest_f[left], rest_g[right]]))
     sums = np.bincount(out, weights=weight[left] * g.val[entry_g[right]], minlength=len(keys))
     return RawTensor._of(f.space, (f.order - r, g.order - r), keys, sums)
+
+
+def _expand(low: np.ndarray, count: np.ndarray, by: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) rows of a join: left k meets by[low[k] : low[k] + count[k]], in that order.
+
+    The row count is known before any row is built: more than _JOIN_LIMIT raise ResourceLimitError.
+    """
+    rows = int(count.sum())
+    if rows > _JOIN_LIMIT:
+        raise ResourceLimitError(f"a contraction join of {rows} rows exceeds the limit {_JOIN_LIMIT}")
+    left = np.repeat(np.arange(len(count)), count)
+    return left, by[np.arange(rows) - np.repeat(np.cumsum(count) - count - low, count)]
+
+
+def _cut_table(kernels: Sequence[SymmetricTensor], r: int) -> tuple[np.ndarray, ...]:
+    """(key, by, ordered, rest, weight, value) over the cuts of the kernels of order >= r, kernel by kernel.
+
+    Each kernel's cuts come in entry order; key is sub id * len(kernels) + kernel, and by sorts
+    the cuts by (sub, kernel), each in cut order, into ordered = key[by].  rest is padded with 0
+    to one width: coordinates are 1-based, so padding leaves the rows of one kernel pair in
+    their order.  weight is multiplicity(sub) * value, value the cut entry's.  Each run of
+    kernels of one order is cut together.
+    """
+    width = max(t.order for t in kernels) - r
+    parts = []
+    for q, run in itertools.groupby(range(len(kernels)), key=lambda e: kernels[e].order):
+        run = list(run)
+        if q >= r:
+            entry, sub, rest = _cuts(np.vstack([kernels[e].idx for e in run]), r)
+            kernel = np.repeat(run, [len(kernels[e].val) for e in run])[entry]
+            rest = np.hstack([rest, np.zeros((len(rest), width - q + r), np.int64)])
+            parts.append((kernel, sub, rest, np.concatenate([kernels[e].val for e in run])[entry]))
+    kernel, sub, rest, value = (np.concatenate(part) for part in zip(*parts))
+    del parts  # free the per-run copies before the sorts below
+    subs, sub = _unique_rows(sub)
+    key = sub * len(kernels) + kernel
+    by = np.argsort(key, kind="stable")
+    return key, by, key[by], rest, _multiplicities(subs, (r,))[sub] * value, value
+
+
+def _join(table: tuple, units: list, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) cut pairs of one batch join: left in cut order, each left's partners in (kernel, cut) order.
+
+    A unit (c0, c1, j0, j1) joins the cuts c0..c1-1 of one kernel i with the cuts of the same sub
+    of kernels max(i, j0)..j1-1.
+    """
+    key, by, ordered = table[:3]
+    c0, c1, j0, j1 = (np.array(column) for column in zip(*units))
+    length = c1 - c0
+    cut = np.arange(length.sum()) - np.repeat(np.cumsum(length) - c1, length)
+    own = key[cut] % m
+    low = np.searchsorted(ordered, key[cut] - own + np.maximum(own, np.repeat(j0, length)))
+    left, right = _expand(low, np.searchsorted(ordered, key[cut] - own + np.repeat(j1, length)) - low, by)
+    return cut[left], right
+
+
+def _joined_rows(table: tuple, units: list, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows (pair, rest_f, rest_g) of one join (see _join), in lexicographic order, and their nonzero sums.
+
+    pair numbers the kernel pairs i <= j row by row.  A row's terms multiplicity(sub) * f * g add
+    in f-entry order: each f entry gives at most one term, and left runs in cut order.
+    """
+    left, right = _join(table, units, m)
+    key, rest, weight, value = table[0], *table[3:]
+    i, j = key[left] % m, key[right] % m
+    keys, group = _unique_rows(np.hstack([(i * (2 * m - i + 1) // 2 + j - i)[:, None], rest[left], rest[right]]))
+    sums = np.bincount(group, weights=weight[left] * value[right], minlength=len(keys))
+    return keys[sums != 0.0], sums[sums != 0.0]
+
+
+def _join_chunks(table: tuple, m: int) -> list[list[tuple[int, int, int, int]]]:
+    """The units of one batch join (see _joined_rows), packed into chunks of at most _JOIN_CHUNK rows.
+
+    A kernel's cuts make one unit with all later kernels while its rows fit in _JOIN_CHUNK, else
+    one unit per partner, so a pair larger than _JOIN_CHUNK is joined alone.
+    """
+    key, _, ordered = table[:3]
+    own = key % m
+    base = key - own
+    ends = np.searchsorted(own, np.arange(m + 1)).tolist()
+    rows = np.concatenate(([0], np.cumsum(np.searchsorted(ordered, base + m) - np.searchsorted(ordered, key))))
+    units = []
+    for i, c0, c1 in zip(range(m), ends, ends[1:]):
+        if rows[c1] - rows[c0] <= _JOIN_CHUNK:
+            units.append((c0, c1, 0, m, rows[c1] - rows[c0]))
+            continue
+        edges = itertools.pairwise(np.searchsorted(ordered, base[c0:c1] + j) for j in range(i, m + 1))
+        units += [(c0, c1, j, j + 1, (high - low).sum()) for j, (low, high) in zip(range(i, m), edges)]
+    chunks, held = [], 0
+    for *unit, size in units:
+        if not chunks or held and held + size > _JOIN_CHUNK:
+            chunks.append([])
+            held = 0
+        chunks[-1].append(unit)
+        held += size
+    return chunks
+
+
+@_float_ops
+def _pair_norms(kernels: Sequence[SymmetricTensor], r: int) -> tuple[np.ndarray, np.ndarray]:
+    """||f (x)_r g|| and ||f (x~)_r g|| for every pair (f, g) = (kernels[i], kernels[j]), i <= j, row by row.
+
+    The values equal contract(f, g, r).norm_and_symmetrized() and its second part's .norm(),
+    bit for bit; a pair with an order below r reads 0.0.  Each kernel is cut once, and all pairs
+    join in chunks (see _join_chunks).  Each pair's totals add from 0.0 in its row order.
+    """
+    table = _cut_table(kernels, r)
+    m, width = len(kernels), table[3].shape[1]
+    pairs = m * (m + 1) // 2
+    _check_order(2 * width)  # the largest symmetrized order: the top-order kernel with itself
+
+    def chunk_norms(chunk: list) -> np.ndarray:
+        keys, sums = _joined_rows(table, chunk, m)
+        weights = _multiplicities(keys[:, 1:], (width, width)) * sums
+        raw = np.bincount(keys[:, 0], weights=weights * sums, minlength=pairs)
+        keys[:, 1:].sort(axis=1)  # each row's sorted index, after its 0s
+        syms, group = _unique_rows(keys)
+        del keys  # free the row table before the orbit multiplicities
+        orbit = _multiplicities(syms[:, 1:], (2 * width,))
+        sym = np.bincount(group, weights=weights, minlength=len(syms)) / orbit
+        return np.stack([raw, np.bincount(syms[:, 0], weights=orbit * sym * sym, minlength=pairs)])
+
+    return tuple(np.sqrt(sum(map(chunk_norms, _join_chunks(table, m)))))
 
 
 def contract_sym(f: SymmetricTensor, g: SymmetricTensor, r: int) -> SymmetricTensor:

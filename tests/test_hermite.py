@@ -10,6 +10,7 @@ polynomials, not by sampling.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,3 +83,32 @@ def test_hermite_returns_a_new_array():
 def test_rejects_negative_order():
     with pytest.raises(ValidationError):
         hermite(-1, 0.0)
+
+
+def listed_recurrence(q, x):
+    # reference: every order H_0..H_q kept in a list, as the recurrence once did
+    table = [1.0, x]
+    for k in range(1, q):
+        table.append((x * table[-1] - table[-2]) / (k + 1))
+    return table[q]
+
+
+def test_hermite_equals_the_listed_recurrence():
+    x = np.linspace(-6.0, 6.0, 101)
+    for q in (0, 1, 2, 3, 7, 20, 60):
+        assert np.array_equal(hermite(q, x), np.broadcast_to(listed_recurrence(q, x), x.shape)), q
+        assert hermite(q, 0.3) == float(np.asarray(listed_recurrence(q, np.float64(0.3)))), q
+
+
+def test_hermite_holds_two_orders_at_a_time():
+    # the recurrence keeps only the last two orders: a 1000th order on 10^4
+    # points peaks at a few arrays, not at the 1001 orders of the whole list
+    x = np.linspace(-3.0, 3.0, 10_000)
+    tracemalloc.start()
+    try:
+        value = hermite(1000, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(value, listed_recurrence(1000, x))
+    assert peak < 8 * x.nbytes  # five arrays here: the result, two orders and two temporaries

@@ -432,21 +432,70 @@ def test_criterion_check_never_expands_a_square(monkeypatch):
     assert report.witness_cov > 0.0
 
 
-def test_criterion_check_contracts_each_pair_once_per_rank(monkeypatch):
-    # cov2 and the contraction norms of a pair come from the same
-    # contractions: one contract call per (pair, r), diagonal pairs included
-    calls = []
-    contract = wc.chaos.contract
+def test_criterion_check_cuts_each_element_once_per_rank(monkeypatch):
+    # all pairs share one join per rank, so each kernel's rows are cut once
+    # per r however many pairs the kernel is in, diagonal pairs included
+    cut = {}
+    cuts = wc.tensor._cuts
 
-    def counting(f, g, r):
-        calls.append(r)
-        return contract(f, g, r)
+    def counting(idx, r):
+        cut[r] = cut.get(r, 0) + len(idx)
+        return cuts(idx, r)
 
-    monkeypatch.setattr(wc.chaos, "contract", counting)
-    v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5), 16)
+    monkeypatch.setattr(wc.tensor, "_cuts", counting)
+    v = wc.generate(wc.FamilySpec("mixed_orders", (3, 2), (2, 3), theta=0.5), 12)
     wc.criterion_check(v)
-    pairs = 3  # (1, 1), (1, 2), (2, 2)
-    assert sorted(calls) == [1] * pairs + [2] * pairs
+    assert cut == {r: sum(len(e.kernel.val) for e in v.elements if e.order >= r) for r in (1, 2, 3)}
+
+
+def random_vector(rng, orders, sizes):
+    # standardized random kernels: element e draws its indices from a block
+    # of two coordinates of its own, from two coordinates every element may
+    # share, or from both, so pairs of disjoint and of shared support mix
+    count = sum(sizes)
+    space = wc.HilbertSpace(2 * count + 2)
+    shared = [2 * count + 1, 2 * count + 2]
+    groups, e = [], 0
+    for q, m in zip(orders, sizes):
+        group = []
+        for _ in range(m):
+            own = [2 * e + 1, 2 * e + 2]
+            support = [own, shared, own + shared][int(rng.integers(0, 3))]
+            entries = {}
+            for _ in range(int(rng.integers(1, 9))):
+                entries[tuple(sorted(int(c) for c in rng.choice(support, size=q)))] = float(rng.normal())
+            group.append(wc.normalize(wc.ChaosElement(wc.SymmetricTensor(space, q, entries))))
+            e += 1
+        groups.append(group)
+    return wc.ChaosVector(groups)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_exact_pairs_equal_the_per_pair_loop(monkeypatch, chunk):
+    # one join per rank over all pairs gives every pair row and the whole
+    # matrix bit for bit as cov_squares_and_norms does pair by pair, also
+    # when the pairs are packed into many small chunks or joined alone
+    if chunk is not None:
+        monkeypatch.setattr(wc.tensor, "_JOIN_CHUNK", chunk)
+    rng = np.random.default_rng(18)
+    for _ in range(12):
+        d = int(rng.integers(2, 4))
+        orders = sorted(rng.integers(1, 5, size=d).tolist(), reverse=True)
+        vector = random_vector(rng, orders, rng.integers(1, 4, size=d).tolist())
+        matrix, rows = wc.exact_pairs(vector)
+        elements = vector.elements
+        group_of = vector.group_index
+        pairs = [(i, j) for i in range(len(elements)) for j in range(i, len(elements))]
+        assert [(row.i, row.j) for row in rows] == [(i + 1, j + 1) for i, j in pairs]
+        expected = np.zeros(matrix.shape)
+        for row, (i, j) in zip(rows, pairs):
+            cov2, norms = wc.cov_squares_and_norms(elements[i], elements[j])
+            want = independence.PairRow(
+                i + 1, j + 1, group_of[i] != group_of[j], cov2, tuple(norms), max(norms), int(np.argmax(norms)) + 1
+            )
+            assert row == want
+            expected[i, j] = expected[j, i] = cov2
+        assert np.array_equal(matrix, expected)
 
 
 def test_vanishing_overlap_witness_at_large_n():

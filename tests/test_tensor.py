@@ -10,10 +10,12 @@ in the same order, so there the match is exact to the bit.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wienerchaos import FamilySpec, criterion_check, generate, tensor
 from wienerchaos.chaos import ChaosElement
 from wienerchaos.exceptions import ResourceLimitError, ValidationError
 from wienerchaos.tensor import (
@@ -220,6 +222,54 @@ def test_contraction_overflow_raises():
     f = SymmetricTensor(HilbertSpace(1), 1, {(1,): 1e200})
     with pytest.raises(ValidationError, match="finite"):
         contract(f, f, 0)
+
+
+def test_a_join_over_the_row_limit_raises_before_it_is_built():
+    # two 10^4-entry kernels make a 10^8-row tensor product; the row count
+    # is known from the cut counts, so nothing of that size is allocated
+    space = HilbertSpace(10_000)
+    f = SymmetricTensor._of(space, (1,), np.arange(1, 10_001)[:, None], np.ones(10_000))
+    assert 10_000 * 10_000 > tensor._JOIN_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="100000000 rows"):
+            contract(f, f, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_a_pair_over_the_row_limit_raises_in_the_batch_before_it_is_built():
+    # every order-2 index over 170 coordinates: each coordinate is the sub
+    # of 170 cuts, so a pair joins 170**3 rows at r = 1, past the limit
+    space = HilbertSpace(170)
+    idx = np.array([(i, j) for i in range(1, 171) for j in range(i, 171)])
+    f = SymmetricTensor._of(space, (2,), idx, np.ones(len(idx)))
+    assert 170**3 > tensor._JOIN_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=f"{170**3} rows"):
+            tensor._pair_norms([f, f], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+
+
+def test_the_largest_tier_one_join_is_under_the_row_limit(monkeypatch):
+    # the n = 65,536 witness test joins 65,537 rows per diagonal pair
+    sizes = []
+    expand = tensor._expand
+
+    def recording(low, count, by):
+        sizes.append(int(count.sum()))
+        return expand(low, count, by)
+
+    monkeypatch.setattr(tensor, "_expand", recording)
+    v = generate(FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5), 65536)
+    criterion_check(v)
+    assert 65537 <= max(sizes) < tensor._JOIN_LIMIT
 
 
 def test_order_cap_guard():
