@@ -443,6 +443,154 @@ def test_usage_error_exit_code():
     assert result.returncode == 2
 
 
+SHA256_EMPTY = hashlib.sha256(b"").hexdigest()
+
+# argv, exit code and the sha256 of stdout and of stderr, at 80 columns;
+# every digest is a fixed value.  These pin the parser's words: help,
+# usage and error text, which argparse writes and the commands never see.
+PARSER_WORDS = {
+    "no-arguments": (
+        [],
+        2,
+        SHA256_EMPTY,
+        "5152c93e680d400deeacff69354517c88565acb58af6f95eb7f8ba209ef15075",
+    ),
+    "help": (
+        ["--help"],
+        0,
+        "125822333e28ba5ad697151f68d7600e99090383b15afce31d8f21ecaaa8edc3",
+        SHA256_EMPTY,
+    ),
+    "version": (
+        ["--version"],
+        0,
+        "df1f650d655b6aca06d5ef9fd2c356ddbacd6a853c5665a67b2f7f46716eb7b7",
+        SHA256_EMPTY,
+    ),
+    "unknown-command": (
+        ["frobnicate"],
+        2,
+        SHA256_EMPTY,
+        "940695e8bab68c0b5c6fd9503c330a1ad25d7523780bb491a1224fa8c5f98971",
+    ),
+    "contract-help": (
+        ["contract", "--help"],
+        0,
+        "d96f29188a5095acabea43ee57e2ee24c5fab898b35f9d94449a32dc49649368",
+        SHA256_EMPTY,
+    ),
+    "cov2-help": (
+        ["cov2", "--help"],
+        0,
+        "68cd7781e3e78bb17d19fa7210d39cf19b0f79a2465d32d543031df1626f3b11",
+        SHA256_EMPTY,
+    ),
+    "check-help": (
+        ["check", "--help"],
+        0,
+        "abeba6425c7a02a1d269ab4a312bf9727962666d1330928e7efc1e21ed1a987b",
+        SHA256_EMPTY,
+    ),
+    "sweep-help": (
+        ["sweep", "--help"],
+        0,
+        "05a75fc87a26d19ff3dc1c2cb1660aa2130748ffd0c50dcced536e3b16cd6223",
+        SHA256_EMPTY,
+    ),
+    "simulate-help": (
+        ["simulate", "--help"],
+        0,
+        "e767977965529032f5281038f122a6a01af1a88bb8131256dad401c34583bf10",
+        SHA256_EMPTY,
+    ),
+    "check-without-manifest": (
+        ["check"],
+        2,
+        SHA256_EMPTY,
+        "b631ba397ee62a2d44ce2a48159cbba25bafb82d030e33a73879bba6908950fa",
+    ),
+    "sweep-without-family": (
+        ["sweep", "--orders", "2,2", "--sizes", "1,1", "--n", "4"],
+        2,
+        SHA256_EMPTY,
+        "7b265297a244c7971a25dbb7a749a4db549b4145eec98b24c33a1f5272c46cdb",
+    ),
+    "contract-without-r": (
+        ["contract", "a", "b"],
+        2,
+        SHA256_EMPTY,
+        "533568db8ba3b35505767ca4ec25fbf8dae86323285c27148d7d0f22dac8572a",
+    ),
+    "samples-not-an-integer": (
+        ["check", "m.json", "--samples", "x"],
+        2,
+        SHA256_EMPTY,
+        "19609d2994f939bfade141ec290d85572fc43c1fce596965f8b04a27b5fc7034",
+    ),
+    "samples-a-fraction": (
+        ["check", "m.json", "--samples", "1.5"],
+        2,
+        SHA256_EMPTY,
+        "4c853c8038c0cdd189b80debbeef360fbdb41c0640ec52fc47de0f961619840e",
+    ),
+    "format-xml": (
+        ["check", "m.json", "--format", "xml"],
+        2,
+        SHA256_EMPTY,
+        "c75a8e50c63ae3fd87a69ea027eb9f51366c3b864fee8eb0cf42d0329e6bd343",
+    ),
+    "unknown-option": (
+        ["check", "m.json", "--bogus"],
+        2,
+        SHA256_EMPTY,
+        "71495bce1efd32abd87f4778beb7c5fd7f53b509afdf20439150a15744db8293",
+    ),
+    "version-after-command": (
+        ["check", "m.json", "--version"],
+        2,
+        SHA256_EMPTY,
+        "7fc89a0f60c5e3c4a4f22676869f4934f84ff90b5f7572065ee853f3e138a0b4",
+    ),
+    "abbreviated-option": (
+        ["check", "m.json", "--samp", "0"],
+        1,
+        "b4a0809adb12ea99601f490ad770ab1355b6a6c97d9ceb6ede2c45d9080c0af6",
+        "724ea9921bf5ad6254e5b776ffa3e05671bc2c53c3a38f1c83d9e24390959516",
+    ),
+    "stray-positional": (
+        ["check", "m.json", "extra", "--samples", "0"],
+        2,
+        SHA256_EMPTY,
+        "0cc08115d4fdb520ba82a2dc62642b836e8d5d5a86b55def2bbdfa9d4ab5377b",
+    ),
+    "double-dash": (
+        ["check", "--samples", "0", "--", "m.json"],
+        1,
+        "b4a0809adb12ea99601f490ad770ab1355b6a6c97d9ceb6ede2c45d9080c0af6",
+        "724ea9921bf5ad6254e5b776ffa3e05671bc2c53c3a38f1c83d9e24390959516",
+    ),
+}
+
+
+def _run_main(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+@pytest.mark.parametrize("name", PARSER_WORDS)
+def test_parser_words_are_pinned(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    wc.save_vector(wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 2), theta=0.5), 8), "m.json")
+    argv, code, out_digest, err_digest = PARSER_WORDS[name]
+    assert _run_main(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest, captured.out
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest, captured.err
+
+
 def test_sweep_and_simulate_bytes_ignore_the_worker_count(workdir, monkeypatch):
     sweep = ["sweep", "--family", "vanishing_overlap", "--orders", "2,2", "--sizes", "1,1",
              "--n", "32", "--samples", "20000", "--seed", "3"]  # fmt: skip
