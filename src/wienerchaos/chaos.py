@@ -42,7 +42,7 @@ STANDARDIZED_TOL = 1e-10
 class ChaosElement:
     """A single integral I_q(f), q >= 1; the kernel fixes the order."""
 
-    __slots__ = ("order", "kernel", "_prep")
+    __slots__ = ("order", "kernel", "_prep", "_var")
 
     def __init__(self, kernel: SymmetricTensor):
         if not isinstance(kernel, SymmetricTensor):
@@ -51,7 +51,7 @@ class ChaosElement:
             raise ValidationError("chaos elements need order >= 1; constants belong in ChaosExpansion")
         self.order = kernel.order
         self.kernel = kernel
-        self._prep = None
+        self._prep = self._var = None
 
     @property
     def space(self) -> HilbertSpace:
@@ -170,8 +170,10 @@ def _evaluate_prepared(coords, counts, offsets, coeffs, x: np.ndarray) -> np.nda
 
 
 def variance(element: ChaosElement) -> float:
-    """Var I_q(f) = q! ||f||^2."""
-    return math.factorial(element.order) * inner(element.kernel, element.kernel)
+    """Var I_q(f) = q! ||f||^2, computed on the first call and kept on the element."""
+    if element._var is None:
+        element._var = math.factorial(element.order) * inner(element.kernel, element.kernel)
+    return element._var
 
 
 def normalize(element: ChaosElement) -> ChaosElement:

@@ -257,6 +257,69 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _contract_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("f", help="left kernel file")
+    parser.add_argument("g", help="right kernel file")
+    parser.add_argument("--r", type=int, required=True, help="number of paired slots")
+    parser.add_argument("--sym", action="store_true", help="symmetrize the contraction into a kernel document")
+    parser.add_argument("--out", help="output path (stdout when omitted)")
+    parser.set_defaults(func=cmd_contract)
+
+
+def _cov2_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("manifest", help="vector manifest file")
+    parser.add_argument("--format", choices=("csv", "summary"), default="csv")
+    parser.add_argument("--out", help="output path (stdout when omitted)")
+    parser.set_defaults(func=cmd_cov2)
+
+
+def _check_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("manifest", help="vector manifest file")
+    parser.add_argument("--tol", type=float, default=1e-6, help="criterion width (default 1e-6)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--samples",
+        type=int,
+        default=100_000,
+        help="empirical-gap sample count; 0 skips the empirical probe (default 100000)",
+    )
+    parser.add_argument("--format", choices=("csv", "summary"), default="summary")
+    parser.add_argument("--out", help="output path (stdout when omitted)")
+    parser.set_defaults(func=cmd_check)
+
+
+def _sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--family", choices=FAMILIES, required=True)
+    parser.add_argument("--orders", required=True, help="comma-separated group orders, e.g. 2,2")
+    parser.add_argument("--sizes", required=True, help="comma-separated group sizes, e.g. 1,1")
+    parser.add_argument("--theta", type=float, default=0.5, help="shared-coordinate weight")
+    parser.add_argument("--n", required=True, help="comma-separated family indices, e.g. 4,16,64")
+    parser.add_argument("--samples", type=int, default=100_000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--tol", type=float, default=1e-6)
+    parser.add_argument("--out", help="output path (stdout when omitted)")
+    parser.set_defaults(func=cmd_sweep)
+
+
+def _simulate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("manifest", help="vector manifest file")
+    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", help="output path (stdout when omitted)")
+    parser.set_defaults(func=cmd_simulate)
+
+
+# name -> (help line, the function that adds the command's arguments); each
+# function looks cmd_<name> up when it runs, so a replaced command is called
+_COMMANDS = {
+    "contract": ("contract two kernel files and print the result with its norm", _contract_arguments),
+    "cov2": ("squared-covariance matrix and contraction norms for a vector manifest", _cov2_arguments),
+    "check": ("run the independence criterion; exit 0 on pass, 1 on fail", _check_arguments),
+    "sweep": ("witness decay table for a kernel family over a list of n", _sweep_arguments),
+    "simulate": ("dump evaluated samples of every vector element as CSV", _simulate_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wienerchaos",
@@ -267,72 +330,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"wienerchaos {__version__}")
     commands = parser.add_subparsers(dest="subcommand", required=True)
-
-    contract_p = commands.add_parser(
-        "contract", help="contract two kernel files and print the result with its norm"
-    )
-    contract_p.add_argument("f", help="left kernel file")
-    contract_p.add_argument("g", help="right kernel file")
-    contract_p.add_argument("--r", type=int, required=True, help="number of paired slots")
-    contract_p.add_argument(
-        "--sym", action="store_true", help="symmetrize the contraction into a kernel document"
-    )
-    contract_p.add_argument("--out", help="output path (stdout when omitted)")
-    contract_p.set_defaults(func=cmd_contract)
-
-    cov2_p = commands.add_parser(
-        "cov2", help="squared-covariance matrix and contraction norms for a vector manifest"
-    )
-    cov2_p.add_argument("manifest", help="vector manifest file")
-    cov2_p.add_argument("--format", choices=("csv", "summary"), default="csv")
-    cov2_p.add_argument("--out", help="output path (stdout when omitted)")
-    cov2_p.set_defaults(func=cmd_cov2)
-
-    check_p = commands.add_parser(
-        "check", help="run the independence criterion; exit 0 on pass, 1 on fail"
-    )
-    check_p.add_argument("manifest", help="vector manifest file")
-    check_p.add_argument("--tol", type=float, default=1e-6, help="criterion width (default 1e-6)")
-    check_p.add_argument("--seed", type=int, default=0)
-    check_p.add_argument(
-        "--samples",
-        type=int,
-        default=100_000,
-        help="empirical-gap sample count; 0 skips the empirical probe (default 100000)",
-    )
-    check_p.add_argument("--format", choices=("csv", "summary"), default="summary")
-    check_p.add_argument("--out", help="output path (stdout when omitted)")
-    check_p.set_defaults(func=cmd_check)
-
-    sweep_p = commands.add_parser(
-        "sweep", help="witness decay table for a kernel family over a list of n"
-    )
-    sweep_p.add_argument("--family", choices=FAMILIES, required=True)
-    sweep_p.add_argument("--orders", required=True, help="comma-separated group orders, e.g. 2,2")
-    sweep_p.add_argument("--sizes", required=True, help="comma-separated group sizes, e.g. 1,1")
-    sweep_p.add_argument("--theta", type=float, default=0.5, help="shared-coordinate weight")
-    sweep_p.add_argument("--n", required=True, help="comma-separated family indices, e.g. 4,16,64")
-    sweep_p.add_argument("--samples", type=int, default=100_000)
-    sweep_p.add_argument("--seed", type=int, default=0)
-    sweep_p.add_argument("--tol", type=float, default=1e-6)
-    sweep_p.add_argument("--out", help="output path (stdout when omitted)")
-    sweep_p.set_defaults(func=cmd_sweep)
-
-    simulate_p = commands.add_parser(
-        "simulate", help="dump evaluated samples of every vector element as CSV"
-    )
-    simulate_p.add_argument("manifest", help="vector manifest file")
-    simulate_p.add_argument("--samples", type=int, default=1000)
-    simulate_p.add_argument("--seed", type=int, default=0)
-    simulate_p.add_argument("--out", help="output path (stdout when omitted)")
-    simulate_p.set_defaults(func=cmd_simulate)
-
+    for name, (help_line, arguments) in _COMMANDS.items():
+        arguments(commands.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = extra = None
+    # the command's own parser is the subparser the full one would build, and
+    # whatever it leaves over goes to the full parser for its top-level error;
+    # the full parser also reads a '--=...' anywhere as ambiguous (--help or --version)
+    if argv and argv[0] in _COMMANDS and not any(arg.startswith("--=") for arg in argv):
+        parser = argparse.ArgumentParser(prog=f"wienerchaos {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (WienerChaosError, OSError) as error:

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, headers, round trips, deterministic output."""
 
+import argparse
 import ast
 import hashlib
 import importlib.util
@@ -7,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -589,6 +591,109 @@ def test_parser_words_are_pinned(tmp_path, monkeypatch, capsys, name):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest, captured.out
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest, captured.err
+
+
+def test_a_command_builds_only_its_own_parser(workdir, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["check", "persistent.json", "--samples", "0", "--out", "c.json"]) == 1
+    assert built == ["wienerchaos check"]
+
+
+COMMAND_ARGV = {
+    "contract": ["contract", "f.json", "g.json", "--r", "1"],
+    "cov2": ["cov2", "persistent.json"],
+    "check": ["check", "persistent.json", "--samples", "0"],
+    "sweep": ["sweep", "--family", "disjoint", "--orders", "2,2", "--sizes", "1,1", "--n", "4"],
+    "simulate": ["simulate", "persistent.json"],
+}
+
+
+@pytest.mark.parametrize("name", COMMAND_ARGV)
+def test_main_calls_the_command_function_the_module_holds(workdir, monkeypatch, name):
+    # perfbench/child.py times a command by replacing cli.cmd_<name> with setattr;
+    # a parser that kept the function it saw at import would skip the replacement
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{name}", lambda args: calls.append(args) or 7)
+    assert main(COMMAND_ARGV[name]) == 7
+    assert len(calls) == 1
+
+
+# argument lists on which a command's own parser could read differently from
+# the full parser: options after the command that the top level also knows
+PARSER_AGREEMENT = [
+    ["check", "m.json", "--=x"],
+    ["check", "m.json", "--ver"],
+    ["check", "-h", "m.json"],
+    ["check", "m.json", "--h"],
+    ["check", "--samp=0", "m.json"],
+    ["check", "m.json", "--s", "0"],
+    ["check", "m.json", "--samples", "0", "--samples", "1"],
+    ["check", "m.json", "--tol"],
+    ["check", "--"],
+    ["check", "--", "m.json", "--samples"],
+    ["check", "m.json", "--", "extra"],
+    ["cov2", "m.json", "--form", "summary"],
+    ["contract", "f.json", "--r", "1", "g.json", "--sy"],
+    ["sweep", "--fam", "disjoint", "--orders", "2,2", "--sizes", "1,1", "--n", "4", "--samples", "-1"],
+    ["simulate", "m.json", "--tol", "1"],
+    ["Check", "m.json"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_AGREEMENT, ids=" ".join)
+def test_the_command_parser_reads_as_the_full_parser(monkeypatch, capsys, argv):
+    # the same namespace reaches the same command, or the same exit prints the same words
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = []
+
+    def recorder(name):
+        def command(args):
+            calls.append((name, {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}))
+            return 0
+
+        return command
+
+    for name in COMMAND_ARGV:
+        monkeypatch.setattr(cli, f"cmd_{name}", recorder(name))
+
+    def run(parse):
+        calls.clear()
+        try:
+            code = parse()
+        except SystemExit as exit_:
+            code = exit_.code
+        return code, capsys.readouterr(), calls[:]
+
+    expected = run(lambda: (args := cli.build_parser().parse_args(argv)).func(args))
+    assert run(lambda: main(argv)) == expected
+
+
+def test_readme_synopsis_matches_the_parsers():
+    # every flag the README's "Command line" block names exists on its
+    # command's parser; a bracketed number is that flag's default, and a
+    # bracketed a|b list is its choices
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    lines = block.replace("\\\n", " ").splitlines()
+    assert [line.split()[1] for line in lines] == list(subparsers.choices)
+    for line in lines:
+        parser = subparsers.choices[line.split()[1]]
+        actions = {flag: action for action in parser._actions for flag in action.option_strings}
+        flags = re.findall(r"--[a-z]+", line)
+        assert flags and set(flags) <= set(actions), line
+        for flag, value in re.findall(r"\[(--[a-z]+) ([^]]+)\]", line):
+            if "|" in value:
+                assert tuple(value.split("|")) == actions[flag].choices, line
+            elif re.fullmatch(r"[-+.\de]+", value):
+                assert float(value) == actions[flag].default, line
 
 
 def test_sweep_and_simulate_bytes_ignore_the_worker_count(workdir, monkeypatch):

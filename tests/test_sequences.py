@@ -639,3 +639,27 @@ def test_load_vector_checks_each_index_once(monkeypatch):
     loaded = wc.load_vector(document)
     assert calls == [len(element.kernel.entries) for element in loaded.elements]
     assert sum(calls) == 514
+
+
+def test_load_vector_computes_each_variance_once(monkeypatch):
+    # the loader's rescale test and the vector's standardization check share
+    # one inner(f, f) per element; a rescaled element's new kernel gets its own
+    from wienerchaos import chaos
+
+    vector = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 1)), 16)
+    document = json.loads(vector_document(vector))
+    document["groups"][1]["elements"][0]["entries"][0]["value"] *= 2.0
+    calls = []
+    inner = chaos.inner
+
+    def counting(f, g):
+        assert f is g
+        calls.append(f)
+        return inner(f, g)
+
+    monkeypatch.setattr(chaos, "inner", counting)
+    with pytest.warns(UserWarning, match="group 2, element 1: rescaled"):
+        loaded = wc.load_vector(document)
+    # the two standard kernels, the third element's file kernel, then its rescaled kernel
+    assert [id(kernel) for kernel in calls[:2] + calls[3:]] == [id(element.kernel) for element in loaded.elements]
+    assert len({id(kernel) for kernel in calls}) == len(calls) == 4
