@@ -38,11 +38,15 @@ ORACLE_MAX_DIMENSION = 6
 # Standardization check width used by vector constructors.
 STANDARDIZED_TOL = 1e-10
 
+# Largest Hermite table (one row per slot) evaluate holds for one piece of
+# sample rows, in doubles (512 KiB); more slots than that go a row at a time.
+_MAX_TABLE = 1 << 16
+
 
 class ChaosElement:
     """A single integral I_q(f), q >= 1; the kernel fixes the order."""
 
-    __slots__ = ("order", "kernel", "_prep", "_var")
+    __slots__ = ("order", "kernel", "_prep", "_groups", "_var")
 
     def __init__(self, kernel: SymmetricTensor):
         if not isinstance(kernel, SymmetricTensor):
@@ -51,7 +55,7 @@ class ChaosElement:
             raise ValidationError("chaos elements need order >= 1; constants belong in ChaosExpansion")
         self.order = kernel.order
         self.kernel = kernel
-        self._prep = self._var = None
+        self._prep = self._groups = self._var = None
 
     @property
     def space(self) -> HilbertSpace:
@@ -80,6 +84,26 @@ class ChaosElement:
                 float(math.factorial(self.order)) * self.kernel.val,
             )
         return self._prep
+
+    def _slot_groups(self) -> tuple[list, list]:
+        """The slots as evaluate's Hermite table holds them, cached under the rule of prepared().
+
+        The table holds slot p of every entry that has one in rows low:high,
+        position after position, each in entry order.  Returns (count,
+        coords, table rows) per occupation count and (entries + 1, low,
+        high) per slot position p >= 1.
+        """
+        if self._groups is None:
+            coords, counts, offsets, _ = self.prepared()
+            entry = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+            order = np.argsort(np.arange(coords.size) - offsets[entry], kind="stable")  # by slot position
+            entry, coords, counts = entry[order], coords[order], counts[order]
+            bounds = [*(np.flatnonzero(np.diff(entry) <= 0) + 1).tolist(), coords.size]
+            self._groups = (
+                [(a, coords[counts == a], np.flatnonzero(counts == a)) for a in np.flatnonzero(np.bincount(counts))],
+                [(entry[low:high] + 1, low, high) for low, high in zip(bounds, bounds[1:])],
+            )
+        return self._groups
 
 
 class ChaosExpansion:
@@ -149,23 +173,40 @@ def evaluate(obj: Union[ChaosElement, ChaosExpansion], x: np.ndarray) -> Union[f
     if arr.ndim != 2 or arr.shape[1] != obj.space.dimension:
         raise ValidationError(f"sample array shape {np.shape(x)} does not match dimension {obj.space.dimension}")
     if isinstance(obj, ChaosElement):
-        values = _evaluate_prepared(*obj.prepared(), arr)
+        values = _evaluate_element(obj, arr)
     else:
         values = np.full(arr.shape[0], obj.expectation())
         for order in sorted(obj.components):
             if order == 0:
                 continue
-            values = values + _evaluate_prepared(*ChaosElement(obj.components[order]).prepared(), arr)
+            values = values + _evaluate_element(ChaosElement(obj.components[order]), arr)
     return float(values[0]) if single else values
 
 
-def _evaluate_prepared(coords, counts, offsets, coeffs, x: np.ndarray) -> np.ndarray:
-    out = np.zeros(x.shape[0])
-    for e in range(coeffs.shape[0]):
-        term = coeffs[e]
-        for s in range(offsets[e], offsets[e + 1]):
-            term = term * _hermite(int(counts[s]), x[:, coords[s]])
-        out = out + term
+def _evaluate_element(element: ChaosElement, x: np.ndarray) -> np.ndarray:
+    """All entries at once, on row pieces whose Hermite table holds at most _MAX_TABLE doubles.
+
+    A piece costs one _hermite call per occupation count, one multiply per
+    slot position and one axis-0 reduction of the (entries + 1) x rows
+    terms, whose row 0 is 0.0.  That reduction adds rows in order, so each
+    sample is 0.0 + t_0 + t_1 + ... in entry order; a spare zero column
+    keeps a one-row piece from being summed pairwise.
+    """
+    coords, _, _, coeffs = element.prepared()
+    by_count, by_position = element._slot_groups()
+    out = np.empty(x.shape[0])
+    step = max(1, _MAX_TABLE // max(coords.size, 1))
+    for start in range(0, x.shape[0], step):
+        piece = x[start : start + step]
+        rows = len(piece)
+        table = np.empty((coords.size, rows))
+        for count, columns, table_rows in by_count:
+            table[table_rows] = _hermite(count, piece.T[columns])
+        terms = np.zeros((coeffs.size + 1, rows + 1))
+        np.multiply(coeffs[:, None], table[: coeffs.size], out=terms[1:, :rows])
+        for entries, low, high in by_position:
+            terms[entries, :rows] *= table[low:high]
+        out[start : start + rows] = np.add.reduce(terms, axis=0)[:rows]
     return out
 
 

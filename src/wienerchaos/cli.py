@@ -241,10 +241,15 @@ def cmd_simulate(args) -> int:
     header = _csv(_meta(config, args.seed), columns, template, ())
     width = len(elements) + 1
 
+    def block_values(index: int) -> list[list[float]]:
+        # each element's values over one block, a piece of normals at a time
+        pieces = [[evaluate(e, piece).tolist() for e in elements] for piece in batch.pieces(index)]
+        return [[value for piece in column for value in piece] for column in zip(*pieces)]
+
     def chunks() -> Iterator[str]:
         yield header
         position = 0
-        for values in batch.map_blocks(lambda block: [evaluate(e, block).tolist() for e in elements]):
+        for values in batch.map_blocks(block_values):
             rows = len(values[0])
             cells = [None] * (rows * width)
             cells[::width] = range(position + 1, position + rows + 1)

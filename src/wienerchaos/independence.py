@@ -474,20 +474,22 @@ def _draw(vector: ChaosVector, plan: tuple, samples: int, seed: int) -> Empirica
     batch = montecarlo.sample(seed, vector.space.dimension, samples)
     n_blocks = batch.n_full_blocks
 
-    def stack(group: Sequence[ChaosElement], dictionary: Sequence[TestFunction], block: np.ndarray) -> np.ndarray:
+    def stack(element_values: np.ndarray, dictionary: Sequence[TestFunction]) -> np.ndarray:
         # a function of its own, so the per-function rows are freed before
         # the reduction runs
-        element_values = [evaluate(element, block) for element in group]
         per_function = []
         for function in dictionary:
             values = [function.fn(x) for x in element_values]
-            if any(np.shape(v) != (len(block),) for v in values):
+            if any(np.shape(v) != (batch.block_size,) for v in values):
                 raise ValidationError(f"test function {function.name!r} must return one value per sample row")
             per_function.append(functools.reduce(operator.mul, values))  # left to right
         return np.stack(per_function)
 
-    def block_gaps(block: np.ndarray) -> np.ndarray:
-        return _block_gaps([stack(group, dictionary, block) for group, dictionary in zip(vector.groups, dictionaries)])
+    def block_gaps(index: int) -> np.ndarray:
+        # every element's values over the block, a piece of normals at a time
+        values = np.hstack([[evaluate(e, piece) for e in vector.elements] for piece in batch.pieces(index)])
+        groups = np.split(values, np.cumsum(vector.sizes)[:-1])
+        return _block_gaps([stack(group, dictionary) for group, dictionary in zip(groups, dictionaries)])
 
     # (tuples x blocks), C order: each tuple's block statistics are one
     # contiguous row, so the reductions below sum them pairwise

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from wienerchaos import chaos
 from wienerchaos.chaos import (
     ChaosElement,
     ChaosExpansion,
@@ -29,6 +30,7 @@ from wienerchaos.chaos import (
     variance,
 )
 from wienerchaos.exceptions import DegenerateInputError, ResourceLimitError, ValidationError
+from wienerchaos.hermite import _hermite
 from wienerchaos.montecarlo import sample
 from wienerchaos.sequences import FamilySpec, generate
 from wienerchaos.tensor import HilbertSpace, SymmetricTensor
@@ -110,6 +112,52 @@ def test_evaluate_accepts_fortran_order_input():
     element = ChaosElement(SymmetricTensor(sp, 3, entries))
     x = rng.normal(size=(400, 4))
     assert evaluate(element, x).tobytes() == evaluate(element, np.asfortranarray(x)).tobytes()
+
+
+def per_entry_evaluate(element, x):
+    # reference: one entry at a time, its factors left to right, each term
+    # added to the running sum from 0.0 in stored entry order
+    coords, counts, offsets, coeffs = element.prepared()
+    out = np.zeros(x.shape[0])
+    for e in range(coeffs.shape[0]):
+        term = coeffs[e]
+        for s in range(offsets[e], offsets[e + 1]):
+            term = term * _hermite(int(counts[s]), x[:, coords[s]])
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("table", [chaos._MAX_TABLE, 7, 1])
+def test_evaluate_equals_the_per_entry_loop(monkeypatch, table):
+    # random kernels of orders 1-5 on spaces of 1 to 6 coordinates, with
+    # columns of exact 0.0 and +-1.0 so that H_1 and H_2 factors are zero
+    # and terms are signed zeros; small tables cut the rows into pieces of
+    # a few rows and of one row.  Bytes must agree, so -0.0 and +0.0 differ.
+    monkeypatch.setattr(chaos, "_MAX_TABLE", table)
+    rng = np.random.default_rng(20)
+    for order in range(1, 6):
+        for dim in range(1, 7):
+            space = HilbertSpace(dim)
+            entries = {}
+            for _ in range(int(rng.integers(1, 60))):
+                idx = tuple(sorted(int(i) for i in rng.integers(1, dim + 1, size=order)))
+                entries[idx] = float(rng.normal()) * 10.0 ** int(rng.integers(-3, 4))
+            element = ChaosElement(SymmetricTensor(space, order, entries))
+            x = rng.standard_normal((23, dim))
+            x[:, 0] = 0.0
+            if dim > 1:
+                x[:, 1] = rng.choice([1.0, -1.0], size=23)
+            if dim > 2:
+                x[::3, 2] = rng.choice([0.0, 1.0, -1.0], size=8)
+            want = per_entry_evaluate(element, x)
+            assert evaluate(element, x).tobytes() == want.tobytes()
+            assert np.array([evaluate(element, row) for row in x]).tobytes() == want.tobytes()
+            assert evaluate(element, x[:0]).shape == (0,)
+    # every term -0.0 (H_1(0) and H_2(1) are zero, the values negative): the sum still starts from +0.0
+    negative = ChaosElement(SymmetricTensor(HilbertSpace(2), 2, {(1, 1): -0.25, (1, 2): -0.5}))
+    x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]])
+    assert evaluate(negative, x).tobytes() == per_entry_evaluate(negative, x).tobytes()
+    assert not np.signbit(evaluate(negative, x)[:2]).any()
 
 
 def test_isometry_by_quadrature():

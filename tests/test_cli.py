@@ -225,7 +225,7 @@ def test_simulate_shape_and_determinism(workdir):
     # values reproduce the library evaluation of the same batch
     vector = wc.load_vector("persistent.json")
     batch = wc.sample(2, vector.space.dimension, 40)
-    expected = wc.evaluate(vector.elements[0], np.concatenate(list(batch.map_blocks(lambda block: block))))
+    expected = wc.evaluate(vector.elements[0], np.concatenate(list(batch.map_blocks(batch.block))))
     got = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.array_equal(got, expected)
 
@@ -742,7 +742,7 @@ def test_bad_sample_counts_exit_2_and_leave_no_file(workdir, monkeypatch, capsys
     def refuse(*args):
         raise AssertionError("a block was drawn")
 
-    monkeypatch.setattr(montecarlo, "_block_normals", refuse)
+    monkeypatch.setattr(montecarlo, "_block_stream", refuse)
     assert main(argv + ["--out", "out.txt"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not os.path.exists("out.txt")

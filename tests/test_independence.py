@@ -634,8 +634,9 @@ def test_dependence_memory_does_not_scale_with_tuples(monkeypatch):
     # 7**4 tuples over 64 blocks of B = 3906 samples: the reduction holds one
     # chunk of a slab of head products times the last group's stack at a time
     # (2 x 7 x B doubles), never all 7**3 head products of a block (343 x B
-    # doubles, the Khatri-Rao product).  Each worker holds its own block, so
-    # the peak grows with the worker count; two workers fix it on any machine
+    # doubles, the Khatri-Rao product).  Each worker holds its own block's
+    # values and reduction, so the peak grows with the worker count; two
+    # workers fix it on any machine
     monkeypatch.setattr(montecarlo, "_WORKERS", 2)
     vector = wc.generate(FOUR_GROUPS, 1)
     block = 250_000 // 64
@@ -647,6 +648,24 @@ def test_dependence_memory_does_not_scale_with_tuples(monkeypatch):
         tracemalloc.stop()
     assert len(result.rows) == 7**4 and result.n_blocks == 64
     assert peak < 343 * block * 8
+
+
+def test_dependence_memory_does_not_scale_with_the_block(monkeypatch):
+    # N = 257 and blocks of 3,125 samples: each worker reads its block's
+    # normals in pieces of at most 1 MiB and keeps only the elements'
+    # values, so the traced peak of two workers stays below one block of
+    # normals (3,125 x 257 doubles, 6.4 MB); measured 6.2 MB
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    vector = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5), 128)
+    assert vector.space.dimension == 257
+    tracemalloc.start()
+    try:
+        result = wc.empirical_dependence(vector, samples=200_000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_blocks == 64
+    assert peak < 3125 * 257 * 8
 
 
 def test_a_four_group_block_is_reduced_in_49_slabs():

@@ -14,7 +14,7 @@ from scipy import stats
 
 from wienerchaos import montecarlo
 from wienerchaos.exceptions import ResourceLimitError, ValidationError
-from wienerchaos.montecarlo import GENERATOR_TAG, _block_normals, sample
+from wienerchaos.montecarlo import GENERATOR_TAG, _block_stream, sample
 
 
 def all_draws(batch):
@@ -41,10 +41,10 @@ def test_generator_tag_frozen():
 
 
 def test_golden_values_bitwise():
-    got = _block_normals(0, 0, 4, 2)
+    got = _block_stream(0, 0).standard_normal(size=(4, 2))
     expected = np.array([[float.fromhex(h) for h in row] for row in GOLDEN_SEED0_BLOCK0])
     assert np.array_equal(got, expected)
-    got = _block_normals(123, 7, 3, 1)
+    got = _block_stream(123, 7).standard_normal(size=(3, 1))
     expected = np.array([[float.fromhex(h) for h in row] for row in GOLDEN_SEED123_BLOCK7])
     assert np.array_equal(got, expected)
 
@@ -63,7 +63,7 @@ def test_block_regeneration_is_order_free():
     # Any block can be produced without touching earlier ones.
     batch = sample(seed=9, dimension=2, count=640)
     direct = batch.block(40)
-    assert np.array_equal(direct, _block_normals(9, 40, batch.block_size, 2))
+    assert np.array_equal(direct, _block_stream(9, 40).standard_normal(size=(batch.block_size, 2)))
 
 
 def test_block_plan_and_shapes():
@@ -72,7 +72,7 @@ def test_block_plan_and_shapes():
     assert batch.n_blocks == math.ceil(1000 / batch.block_size)
     assert batch.block(0).shape == (batch.block_size, 2)
     # trailing partial block carries the remainder
-    total = sum(block.shape[0] for block in batch.map_blocks(lambda block: block))
+    total = sum(block.shape[0] for block in batch.map_blocks(batch.block))
     assert total == 1000
     last = batch.block(batch.n_blocks - 1)
     assert last.shape[0] == 1000 - (batch.n_blocks - 1) * batch.block_size
@@ -91,17 +91,49 @@ def test_validation_errors():
 
 
 def test_a_block_beyond_the_cap_raises_before_it_is_drawn(monkeypatch):
-    drawn = []
-    monkeypatch.setattr(montecarlo, "_block_normals", lambda seed, block, size, n: drawn.append(size * n))
+    # block() and pieces() both build the block's stream through
+    # _block_stream; the stand-in records each stream built and the
+    # doubles asked of it
+    built, drawn = [], []
+
+    class Stream:
+        def standard_normal(self, size):
+            drawn.append(size[0] * size[1])
+
+    monkeypatch.setattr(montecarlo, "_block_stream", lambda seed, block: built.append(block) or Stream())
     cap = montecarlo._MAX_BLOCK
     assert cap == 2**25  # 256 MiB of doubles
     sample(0, 2, 2 * cap, block_size=cap // 2).block(0)
-    with pytest.raises(ResourceLimitError):
-        sample(0, 2, 2 * cap, block_size=cap // 2 + 1).block(0)
-    batch = sample(0, 1, 2**40 - 1)  # a plan allocates nothing; its blocks are too large to draw
-    with pytest.raises(ResourceLimitError):
-        batch.block(0)
-    assert drawn == [cap]
+    list(sample(0, 2, 2 * cap, block_size=cap // 2).pieces(0))
+    for draw in ("block", "pieces"):
+        with pytest.raises(ResourceLimitError):
+            getattr(sample(0, 2, 2 * cap, block_size=cap // 2 + 1), draw)(0)
+        batch = sample(0, 1, 2**40 - 1)  # a plan allocates nothing; its blocks are too large to draw
+        with pytest.raises(ResourceLimitError):
+            getattr(batch, draw)(0)
+    assert built == [0, 0]
+    assert drawn == [cap] + [montecarlo._PIECE] * (cap // montecarlo._PIECE)
+
+
+@pytest.mark.parametrize(
+    "seed, dimension, block_size",
+    [(0, 257, 3125), (5, 5, 3906), (2, 513, 15_625), (2**64 - 1, 257, 3125), (1, 2**17 + 3, 3)],
+)
+def test_pieces_concatenate_to_the_block_bit_for_bit(seed, dimension, block_size):
+    # the pieces are read in turn from the block's one stream: each holds at
+    # most 1 MiB of doubles, or one row when a row is wider, and together
+    # they are the block's bytes, on a full and on a partial last block
+    batch = sample(seed, dimension, block_size + block_size // 3 + 1, block_size=block_size)
+    rows = max(1, 2**17 // dimension)
+    assert montecarlo._PIECE == 2**17
+    for index in (0, batch.n_blocks - 1):
+        block = batch.block(index)
+        done = 0
+        for piece in batch.pieces(index):
+            assert piece.shape == (min(rows, len(block) - done), dimension)
+            assert piece.tobytes() == block[done : done + len(piece)].tobytes()
+            done += len(piece)
+        assert done == len(block)
 
 
 def test_normals_are_finite_and_standard():
@@ -132,7 +164,8 @@ def test_map_blocks_yields_in_block_order_with_bounded_flight(monkeypatch):
     batch = sample(seed=4, dimension=3, count=2000)
     started = []
 
-    def first_entry(block):
+    def first_entry(index):
+        block = batch.block(index)
         started.append(float(block[0, 0]))
         return float(block[0, 0])
 
@@ -154,7 +187,8 @@ def test_map_blocks_reraises_after_earlier_blocks(monkeypatch, workers):
     baseline = threading.active_count()
     failing = float(batch.block(7)[0, 0])
 
-    def fn(block):
+    def fn(index):
+        block = batch.block(index)
         if float(block[0, 0]) == failing:
             raise RuntimeError("block 7")
         return float(block[0, 0])
@@ -171,7 +205,7 @@ def test_closing_map_blocks_early_stops_its_threads(monkeypatch):
     monkeypatch.setattr(montecarlo, "_WORKERS", 2)
     batch = sample(seed=6, dimension=4, count=64_000)
     baseline = threading.active_count()
-    blocks = batch.map_blocks(lambda block: block.sum())
+    blocks = batch.map_blocks(lambda index: batch.block(index).sum())
     next(blocks)
     next(blocks)
     assert threading.active_count() > baseline
