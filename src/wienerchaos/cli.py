@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 from . import __version__, montecarlo
 from .chaos import evaluate
 from .exceptions import DegenerateInputError, WienerChaosError
-from .independence import PairRow, criterion_check, empirical_dependence, exact_pairs
+from .independence import criterion_check, empirical_dependence
 from .sequences import (
     FAMILIES,
     FamilySpec,
@@ -70,15 +70,6 @@ def _csv(meta: dict, columns: tuple[str, ...], template: str, rows: Iterable[tup
     return head + "".join(template % row for row in rows)
 
 
-def _pairs_csv(meta: dict, pairs: Iterable[PairRow]) -> str:
-    rows = ((p.i, p.j, p.cov2, p.max_norm, p.argmax_r, p.cross) for p in pairs)
-    return _csv(meta, PAIR_COLUMNS, "%d,%d,%.17g,%.17g,%d,%d\n", rows)
-
-
-def _pairs_json(pairs: Iterable[PairRow]) -> list[dict]:
-    return [{"i": p.i, "j": p.j, "cross": p.cross, "cov2": p.cov2, "norms": p.norms} for p in pairs]
-
-
 def _with_meta(document: str, meta: dict) -> str:
     # Canonical kernel/raw documents open with a lone '{'; splice the meta
     # object in as the first key so the payload lines stay byte-identical.
@@ -95,10 +86,6 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
         write_atomic(text, out)
 
 
-def _summary_text(payload: dict, meta: dict) -> str:
-    return json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_contract(args) -> int:
     f = load_kernel(args.f)
     g = load_kernel(args.g)
@@ -110,20 +97,6 @@ def cmd_contract(args) -> int:
     _emit(_with_meta(table_document(result), meta), args.out)
     stream = sys.stdout if args.out else sys.stderr
     print(f"norm: {format_float(norm)}", file=stream)
-    return 0
-
-
-def cmd_cov2(args) -> int:
-    vector = load_vector(args.manifest)
-    cov_matrix, rows = exact_pairs(vector)
-    config = {"subcommand": "cov2", "manifest": args.manifest, "format": args.format}
-    meta = _meta(config, seed=None)
-    if args.format == "csv":
-        text = _pairs_csv(meta, rows)
-    else:
-        payload = {"orders": vector.orders, "sizes": vector.sizes, "cov_matrix": cov_matrix.tolist()}
-        text = _summary_text({**payload, "pairs": _pairs_json(rows)}, meta)
-    _emit(text, args.out)
     return 0
 
 
@@ -141,12 +114,13 @@ def cmd_check(args) -> int:
     meta = _meta(config, args.seed)
     empirical = empirical_dependence(vector, samples=args.samples, seed=args.seed) if args.samples else None
     if args.format == "csv":
-        text = _pairs_csv(meta, report.pairs)
+        rows = ((p.i, p.j, p.cov2, p.max_norm, p.argmax_r, p.cross) for p in report.pairs)
+        text = _csv(meta, PAIR_COLUMNS, "%d,%d,%.17g,%.17g,%d,%d\n", rows)
     else:
         payload = {
             "orders": report.orders,
             "sizes": report.sizes,
-            "pairs": _pairs_json(report.pairs),
+            "pairs": [{"i": p.i, "j": p.j, "cross": p.cross, "cov2": p.cov2, "norms": p.norms} for p in report.pairs],
             "tol": report.tol,
             "cov_pass": report.cov_pass,
             "contraction_pass": report.contraction_pass,
@@ -165,7 +139,7 @@ def cmd_check(args) -> int:
                 "seed": empirical.seed,
                 "generator": meta["generator"],
             }
-        text = _summary_text(payload, meta)
+        text = json.dumps({"meta": meta, **payload}, indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     passed = report.cov_pass and report.contraction_pass
     stream = sys.stdout if args.out else sys.stderr
@@ -271,13 +245,6 @@ def _contract_arguments(parser: argparse.ArgumentParser) -> None:
     parser.set_defaults(func=cmd_contract)
 
 
-def _cov2_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("manifest", help="vector manifest file")
-    parser.add_argument("--format", choices=("csv", "summary"), default="csv")
-    parser.add_argument("--out", help="output path (stdout when omitted)")
-    parser.set_defaults(func=cmd_cov2)
-
-
 def _check_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("manifest", help="vector manifest file")
     parser.add_argument("--tol", type=float, default=1e-6, help="criterion width (default 1e-6)")
@@ -318,7 +285,6 @@ def _simulate_arguments(parser: argparse.ArgumentParser) -> None:
 # function looks cmd_<name> up when it runs, so a replaced command is called
 _COMMANDS = {
     "contract": ("contract two kernel files and print the result with its norm", _contract_arguments),
-    "cov2": ("squared-covariance matrix and contraction norms for a vector manifest", _cov2_arguments),
     "check": ("run the independence criterion; exit 0 on pass, 1 on fail", _check_arguments),
     "sweep": ("witness decay table for a kernel family over a list of n", _sweep_arguments),
     "simulate": ("dump evaluated samples of every vector element as CSV", _simulate_arguments),

@@ -75,9 +75,10 @@ def test_contract_disjoint_is_zero(workdir):
     assert json.loads(Path("z.json").read_text())["meta"]["norm"] == 0.0
 
 
-def test_cov2_csv_matches_check_witness(workdir):
-    assert main(["cov2", "persistent.json", "--out", "cov2.csv"]) == 0
-    comments, rows = read_csv("cov2.csv")
+def test_check_csv_matches_the_witness(workdir):
+    # the pair table is written whatever the verdict; this FAIL exits 1
+    assert main(["check", "persistent.json", "--samples", "0", "--format", "csv", "--out", "check.csv"]) == 1
+    comments, rows = read_csv("check.csv")
     assert rows[0] == "pair_i,pair_j,cov2,max_contraction_norm,r_argmax,cross"
     assert len(rows) == 4  # header + 3 pair rows
     cross_rows = [r.split(",") for r in rows[1:] if r.split(",")[5] == "1"]
@@ -88,29 +89,36 @@ def test_cov2_csv_matches_check_witness(workdir):
     assert any("wienerchaos 0.1.0" in c for c in comments)
 
 
-def test_cov2_and_check_csv_rows_are_identical(workdir):
-    # both commands write the pair table through the CLI's one pair-row writer
-    assert main(["cov2", "persistent.json", "--out", "cov2.csv"]) == 0
-    assert main(["check", "persistent.json", "--samples", "0", "--format", "csv", "--out", "check.csv"]) == 1
-    assert read_csv("cov2.csv")[1] == read_csv("check.csv")[1]
+def test_check_summary_pairs_hold_the_whole_matrix(tmp_path, monkeypatch):
+    # the pairs list carries every i <= j entry, diagonal included, so the
+    # squared-covariance matrix is rebuilt from it entry for entry
+    monkeypatch.chdir(tmp_path)
+    wc.save_vector(wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 2), theta=0.5), 8), "m.json")
+    assert main(["check", "m.json", "--samples", "0", "--out", "c.json"]) == 1
+    expected = wc.squared_cov_matrix(wc.load_vector("m.json"))
+    assert expected.shape == (4, 4)
+    rebuilt = np.full(expected.shape, np.nan)
+    for pair in json.loads(Path("c.json").read_text())["pairs"]:
+        rebuilt[pair["i"] - 1, pair["j"] - 1] = rebuilt[pair["j"] - 1, pair["i"] - 1] = pair["cov2"]
+    assert (rebuilt == expected).all()
 
 
-def test_cov2_and_check_summary_pairs_are_identical(workdir):
-    # both commands write the pair objects through the CLI's one pairs list
-    assert main(["cov2", "persistent.json", "--format", "summary", "--out", "cov2.json"]) == 0
-    assert main(["check", "persistent.json", "--samples", "0", "--out", "check.json"]) == 1
-    assert (
-        json.loads(Path("cov2.json").read_text())["pairs"] == json.loads(Path("check.json").read_text())["pairs"]
-    )
-
-
-def test_cov2_all_zero_for_disjoint(workdir):
-    assert main(["cov2", "disjoint.json", "--out", "d.csv"]) == 0
+def test_check_all_zero_for_disjoint(workdir):
+    assert main(["check", "disjoint.json", "--samples", "0", "--format", "csv", "--out", "d.csv"]) == 0
     _, rows = read_csv("d.csv")
     for row in rows[1:]:
         i, j, cov2, norm, _, cross = row.split(",")
         if cross == "1":
             assert cov2 == "0" and norm == "0"
+
+
+def test_cov2_command_is_gone(workdir, capsys):
+    # check --samples 0 writes the pair table; there is no second command for it
+    with pytest.raises(SystemExit) as exit_:
+        main(["cov2", "persistent.json", "--out", "x"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'cov2'" in capsys.readouterr().err
+    assert not os.path.exists("x")
 
 
 def test_check_exit_codes(workdir, capsys):
@@ -235,7 +243,7 @@ def test_failed_run_leaves_no_output_file(workdir):
            "entries": [{"index": [9], "value": 1.0}]}]}]}
     with open("bad.json", "w") as handle:
         json.dump(bad, handle)
-    assert main(["cov2", "bad.json", "--out", "never.csv"]) == 2
+    assert main(["check", "bad.json", "--samples", "0", "--out", "never.csv"]) == 2
     assert not os.path.exists("never.csv")
     assert not os.path.exists("never.csv.tmp")
 
@@ -353,16 +361,6 @@ PINNED_DOCUMENTS = {
         1,
         "a829f6d11d9ee2034ad072c1c25924c57f137de0bfa94ae318803b24464c0563",
     ),
-    "cov2-summary": (
-        ["cov2", "m.json", "--format", "summary"],
-        0,
-        "df71e5446ba99d8e66aa92f0063a4deff91b410a73d9d6aedc31cae4aa8a989b",
-    ),
-    "cov2-csv": (
-        ["cov2", "m.json"],
-        0,
-        "55e08ae8176acdedf992372ff3ccc47a9af11f276074c6e00349db31bdbd1a43",
-    ),
     "sweep": (
         SWEEP + ["--family", "vanishing_overlap", "--theta", "0.5", "--n", "4,16", "--seed", "7"],
         0,
@@ -378,7 +376,7 @@ PINNED_DOCUMENTS = {
 
 @pytest.mark.parametrize("name", PINNED_DOCUMENTS)
 def test_cli_documents_are_pinned(tmp_path, monkeypatch, name):
-    # the whole --out file of check, cov2 and sweep: '#' header lines, column
+    # the whole --out file of check and sweep: '#' header lines, column
     # names, JSON key order and every cell's text
     monkeypatch.chdir(tmp_path)
     wc.save_vector(wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 2), theta=0.5), 8), "m.json")
@@ -413,7 +411,7 @@ def test_console_script_help_documents_formats():
         [sys.executable, "-m", "wienerchaos.cli", "--help"], capture_output=True, text=True
     )
     assert result.returncode == 0
-    for token in ("contract", "cov2", "check", "sweep", "simulate", "kernel", "manifest"):
+    for token in ("contract", "check", "sweep", "simulate", "kernel", "manifest"):
         assert token in result.stdout
     version = subprocess.run(
         [sys.executable, "-m", "wienerchaos.cli", "--version"], capture_output=True, text=True
@@ -455,12 +453,12 @@ PARSER_WORDS = {
         [],
         2,
         SHA256_EMPTY,
-        "5152c93e680d400deeacff69354517c88565acb58af6f95eb7f8ba209ef15075",
+        "1e39327995f05474817f17fc379649036b5ce917e750508b1f9543c855cb5c79",
     ),
     "help": (
         ["--help"],
         0,
-        "125822333e28ba5ad697151f68d7600e99090383b15afce31d8f21ecaaa8edc3",
+        "051d00365931577622f2b7577b0996c2430bcd403ee71a48ea79e2fecee162ce",
         SHA256_EMPTY,
     ),
     "version": (
@@ -473,18 +471,12 @@ PARSER_WORDS = {
         ["frobnicate"],
         2,
         SHA256_EMPTY,
-        "940695e8bab68c0b5c6fd9503c330a1ad25d7523780bb491a1224fa8c5f98971",
+        "a67856725a4c5948df820906720ede6d63599aee74a4711e51dbda60a170203d",
     ),
     "contract-help": (
         ["contract", "--help"],
         0,
         "d96f29188a5095acabea43ee57e2ee24c5fab898b35f9d94449a32dc49649368",
-        SHA256_EMPTY,
-    ),
-    "cov2-help": (
-        ["cov2", "--help"],
-        0,
-        "68cd7781e3e78bb17d19fa7210d39cf19b0f79a2465d32d543031df1626f3b11",
         SHA256_EMPTY,
     ),
     "check-help": (
@@ -545,13 +537,13 @@ PARSER_WORDS = {
         ["check", "m.json", "--bogus"],
         2,
         SHA256_EMPTY,
-        "71495bce1efd32abd87f4778beb7c5fd7f53b509afdf20439150a15744db8293",
+        "05d6b22945f6cb0c6ff0f146698a58d2a40427aa5241ed2eb8efb72afe81d541",
     ),
     "version-after-command": (
         ["check", "m.json", "--version"],
         2,
         SHA256_EMPTY,
-        "7fc89a0f60c5e3c4a4f22676869f4934f84ff90b5f7572065ee853f3e138a0b4",
+        "a772d367f289ac972c0e03efb99d49237a49411f166570b1b4f87662dbbc4631",
     ),
     "abbreviated-option": (
         ["check", "m.json", "--samp", "0"],
@@ -563,7 +555,7 @@ PARSER_WORDS = {
         ["check", "m.json", "extra", "--samples", "0"],
         2,
         SHA256_EMPTY,
-        "0cc08115d4fdb520ba82a2dc62642b836e8d5d5a86b55def2bbdfa9d4ab5377b",
+        "0d3afe6e383daaae3e795ff99448d1d521313dcff77bfa497650403d9fe709f3",
     ),
     "double-dash": (
         ["check", "--samples", "0", "--", "m.json"],
@@ -608,7 +600,6 @@ def test_a_command_builds_only_its_own_parser(workdir, monkeypatch):
 
 COMMAND_ARGV = {
     "contract": ["contract", "f.json", "g.json", "--r", "1"],
-    "cov2": ["cov2", "persistent.json"],
     "check": ["check", "persistent.json", "--samples", "0"],
     "sweep": ["sweep", "--family", "disjoint", "--orders", "2,2", "--sizes", "1,1", "--n", "4"],
     "simulate": ["simulate", "persistent.json"],
@@ -639,7 +630,7 @@ PARSER_AGREEMENT = [
     ["check", "--"],
     ["check", "--", "m.json", "--samples"],
     ["check", "m.json", "--", "extra"],
-    ["cov2", "m.json", "--form", "summary"],
+    ["check", "m.json", "--form", "summary"],
     ["contract", "f.json", "--r", "1", "g.json", "--sy"],
     ["sweep", "--fam", "disjoint", "--orders", "2,2", "--sizes", "1,1", "--n", "4", "--samples", "-1"],
     ["simulate", "m.json", "--tol", "1"],
