@@ -103,6 +103,32 @@ def test_check_summary_pairs_hold_the_whole_matrix(tmp_path, monkeypatch):
     assert (rebuilt == expected).all()
 
 
+def test_check_csv_rows_match_the_summary_pairs(tmp_path, monkeypatch):
+    # the two formats of one exact pass carry the same pairs: each CSV row is
+    # its summary pair with the largest contraction norm and its r
+    monkeypatch.chdir(tmp_path)
+    wc.save_vector(wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 2), theta=0.5), 8), "m.json")
+    assert main(["check", "m.json", "--samples", "0", "--format", "csv", "--out", "c.csv"]) == 1
+    assert main(["check", "m.json", "--samples", "0", "--out", "c.json"]) == 1
+    rows = [row.split(",") for row in read_csv("c.csv")[1][1:]]
+    pairs = json.loads(Path("c.json").read_text())["pairs"]
+    assert len(rows) == len(pairs) == 10
+    for row, pair in zip(rows, pairs):
+        norm = max(pair["norms"])
+        expected = [pair["i"], pair["j"], pair["cov2"], norm, pair["norms"].index(norm) + 1, pair["cross"]]
+        assert [int(row[0]), int(row[1]), float(row[2]), float(row[3]), int(row[4]), int(row[5])] == expected
+
+
+def test_check_without_out_writes_the_table_to_stdout(workdir, capsys):
+    # stdout holds the --out file's bytes alone; the verdict goes to stderr
+    assert main(["check", "persistent.json", "--samples", "0", "--format", "csv", "--out", "c.csv"]) == 1
+    capsys.readouterr()
+    assert main(["check", "persistent.json", "--samples", "0", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == Path("c.csv").read_text()
+    assert captured.err.endswith(": FAIL\n")
+
+
 def test_check_all_zero_for_disjoint(workdir):
     assert main(["check", "disjoint.json", "--samples", "0", "--format", "csv", "--out", "d.csv"]) == 0
     _, rows = read_csv("d.csv")
@@ -479,6 +505,12 @@ PARSER_WORDS = {
         "d96f29188a5095acabea43ee57e2ee24c5fab898b35f9d94449a32dc49649368",
         SHA256_EMPTY,
     ),
+    "cov2-help": (
+        ["cov2", "--help"],
+        2,
+        SHA256_EMPTY,
+        "c010339867a83271c2c24d94798ce893272839de7e8fcbd74c839b05ee00a254",
+    ),
     "check-help": (
         ["check", "--help"],
         0,
@@ -614,6 +646,25 @@ def test_main_calls_the_command_function_the_module_holds(workdir, monkeypatch, 
     monkeypatch.setattr(cli, f"cmd_{name}", lambda args: calls.append(args) or 7)
     assert main(COMMAND_ARGV[name]) == 7
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("workload", ["exact-overlap", "monte-carlo"])
+def test_perfbench_commands_parse(tmp_path, monkeypatch, workload):
+    # every command the benchmark runs names a command the CLI still has and
+    # parses under it; a removed command or option would fail the benchmark
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    monkeypatch.chdir(tmp_path)
+    commands = workloads.WORKLOADS[workload](wc, 1, str(tmp_path))
+    assert commands
+    for command in commands:
+        calls = []
+        monkeypatch.setattr(cli, f"cmd_{command.argv[0]}", lambda args: calls.append(args) or 7)
+        assert main(list(command.argv)) == 7
+        assert len(calls) == 1
 
 
 # argument lists on which a command's own parser could read differently from
