@@ -222,6 +222,8 @@ def normalize(element: ChaosElement) -> ChaosElement:
     var = variance(element)
     if var <= 0.0:
         raise DegenerateInputError("cannot standardize an element with zero kernel")
+    if not math.isfinite(var):
+        raise DegenerateInputError(f"cannot standardize an element whose variance overflows to {var}")
     return ChaosElement(element.kernel.scaled(1.0 / math.sqrt(var)))
 
 

@@ -2,7 +2,9 @@
 
 Every output document embeds the tool version, the generator tag, the seed
 and the fully resolved configuration, so a result file alone suffices to
-rerun its computation bit-exactly.  CSV files carry these as leading '#'
+rerun its computation bit-exactly.  The configuration is read from the parsed
+arguments by one rule, _config: the command name, every option but --out, and
+what the command parsed out of its options.  CSV files carry these as leading '#'
 comment lines; JSON documents carry them under a "meta" key, which the
 kernel and raw-tensor loaders ignore, keeping CLI output round-trippable
 through the load paths.
@@ -14,6 +16,8 @@ import argparse
 import json
 import sys
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import __version__, montecarlo
 from .chaos import evaluate
@@ -49,6 +53,12 @@ Loaders ignore a top-level "meta" key, so CLI output feeds back in as-is.
 CSV outputs start with '#' comment lines: tool version, generator tag,
 seed, and the resolved configuration as one JSON object.
 """
+
+
+def _config(name: str, args: argparse.Namespace, **readings) -> dict:
+    """The command name, every parsed option but --out, then the readings parsed out of options."""
+    options = {key: value for key, value in vars(args).items() if key not in ("out", "func", "subcommand")}
+    return {"subcommand": name, **options, **readings}
 
 
 def _meta(config: dict, seed: int | None) -> dict:
@@ -89,10 +99,9 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 def cmd_contract(args) -> int:
     f = load_kernel(args.f)
     g = load_kernel(args.g)
-    config = {"subcommand": "contract", "f": args.f, "g": args.g, "r": args.r, "sym": args.sym}
     result = contract_sym(f, g, args.r) if args.sym else contract(f, g, args.r)
     norm = result.norm()
-    meta = _meta(config, seed=None)
+    meta = _meta(_config("contract", args), seed=None)
     meta["norm"] = norm
     _emit(_with_meta(table_document(result), meta), args.out)
     stream = sys.stdout if args.out else sys.stderr
@@ -103,15 +112,7 @@ def cmd_contract(args) -> int:
 def cmd_check(args) -> int:
     vector = load_vector(args.manifest)
     report = criterion_check(vector, tol=args.tol)
-    config = {
-        "subcommand": "check",
-        "manifest": args.manifest,
-        "tol": args.tol,
-        "seed": args.seed,
-        "samples": args.samples,
-        "format": args.format,
-    }
-    meta = _meta(config, args.seed)
+    meta = _meta(_config("check", args), args.seed)
     empirical = empirical_dependence(vector, samples=args.samples, seed=args.seed) if args.samples else None
     if args.format == "csv":
         rows = ((p.i, p.j, p.cov2, p.max_norm, p.argmax_r, p.cross) for p in report.pairs)
@@ -171,17 +172,7 @@ def cmd_sweep(args) -> int:
     sizes = _parse_int_list(args.sizes, "--sizes")
     ns = _parse_int_list(args.n, "--n")
     spec = FamilySpec(args.family, orders, sizes, theta=args.theta)
-    config = {
-        "subcommand": "sweep",
-        "family": args.family,
-        "orders": list(orders),
-        "sizes": list(sizes),
-        "theta": args.theta,
-        "n": list(ns),
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
+    config = _config("sweep", args, orders=list(orders), sizes=list(sizes), n=list(ns))
     rows = []
     for n in ns:
         vector = generate(spec, n)
@@ -200,37 +191,24 @@ def cmd_simulate(args) -> int:
     vector = load_vector(args.manifest)
     if args.samples < 1:
         raise WienerChaosError(f"--samples must be a positive integer, got {args.samples!r}")
-    config = {
-        "subcommand": "simulate",
-        "manifest": args.manifest,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     batch = montecarlo.sample(args.seed, vector.space.dimension, args.samples)
     elements = vector.elements
     columns = ("sample",) + tuple(f"F{i + 1}" for i in range(len(elements)))
     template = "%d" + ",%.17g" * len(elements) + "\n"
-    # the header is _csv with no rows; each block of rows then follows as one
-    # % operation of the repeated template on the flattened (number, values...) cells
-    header = _csv(_meta(config, args.seed), columns, template, ())
-    width = len(elements) + 1
 
-    def block_values(index: int) -> list[list[float]]:
-        # each element's values over one block, a piece of normals at a time
-        pieces = [[evaluate(e, piece).tolist() for e in elements] for piece in batch.pieces(index)]
-        return [[value for piece in column for value in piece] for column in zip(*pieces)]
+    def block_rows(index: int) -> np.ndarray:
+        # each element's values over one block, a piece of normals at a time,
+        # then the block's rows of (sample number, element values...)
+        values = np.hstack([[evaluate(e, piece) for e in elements] for piece in batch.pieces(index)])
+        first = index * batch.block_size + 1
+        return np.column_stack([np.arange(first, first + values.shape[1]), values.T])
 
     def chunks() -> Iterator[str]:
-        yield header
-        position = 0
-        for values in batch.map_blocks(block_values):
-            rows = len(values[0])
-            cells = [None] * (rows * width)
-            cells[::width] = range(position + 1, position + rows + 1)
-            for k, column in enumerate(values, 1):
-                cells[k::width] = column
-            yield template * rows % tuple(cells)
-            position += rows
+        # the header is _csv with no rows; each block's rows then follow as one %
+        # operation of the repeated template; %d of a whole float is the int's text
+        yield _csv(_meta(_config("simulate", args), args.seed), columns, template, ())
+        for rows in batch.map_blocks(block_rows):
+            yield template * len(rows) % tuple(rows.ravel().tolist())
 
     _emit(chunks(), args.out)
     return 0

@@ -293,6 +293,8 @@ def load_vector(source: str | Mapping) -> ChaosVector:
             var = variance(element)
             if var <= 0.0:
                 raise DegenerateInputError(f"{spot}: kernel has zero norm")
+            if not math.isfinite(var):
+                raise DegenerateInputError(f"{spot}: kernel variance overflows to {var}")
             # only touch kernels that actually miss the standardization
             # tolerance; rescaling by 1/sqrt(1 +- eps) would flip last bits
             # and break bit-exact round trips of already-standard files

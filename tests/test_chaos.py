@@ -390,6 +390,14 @@ def test_variance_and_normalize():
         normalize(ChaosElement(zero))
 
 
+def test_normalize_refuses_a_variance_that_overflows():
+    # Var = ||f||^2 = 1e310 is inf in doubles, and 1/sqrt(inf) = 0 would drop every entry
+    F = ChaosElement(SymmetricTensor(HilbertSpace(1), 1, {(1,): 1e155}))
+    assert variance(F) == math.inf
+    with pytest.raises(DegenerateInputError, match="overflows to inf"):
+        normalize(F)
+
+
 def test_element_needs_a_symmetric_tensor():
     with pytest.raises(ValidationError, match="kernel must be a SymmetricTensor, got dict"):
         ChaosElement({(1,): 1.0})

@@ -411,6 +411,101 @@ def test_cli_documents_are_pinned(tmp_path, monkeypatch, name):
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
 
 
+# argv, exit code, stdout and the sha256 of the --out file; every digest is a fixed value
+PINNED_CONTRACTS = {
+    "contract": (
+        ["contract", "f.json", "g.json", "--r", "1"],
+        0,
+        "norm: 5.4031032749707828\n",
+        "412ab15c97f51e620be59f559d48af48c880802c053f456e1831696f3e791bfa",
+    ),
+    "contract-sym": (
+        ["contract", "f.json", "g.json", "--r", "1", "--sym"],
+        0,
+        "norm: 4.0211037042085849\n",
+        "4804e95ea78cab85e7ac8e205890a0889e63d4cc94ef770710d0df70b7f1dd39",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CONTRACTS)
+def test_contract_documents_are_pinned(tmp_path, monkeypatch, capsys, name):
+    # the whole --out file of contract: the meta line, its config included,
+    # and every entry of the raw tensor or of the symmetrized kernel
+    monkeypatch.chdir(tmp_path)
+    sp = HilbertSpace(3)
+    wc.save_kernel(SymmetricTensor(sp, 2, {(1, 1): 0.3, (1, 2): -1.25, (2, 3): 0.7}), "f.json")
+    wc.save_kernel(SymmetricTensor(sp, 3, {(1, 1, 2): 0.1, (1, 3, 3): -0.4, (2, 2, 3): 2.5}), "g.json")
+    argv, code, out, digest = PINNED_CONTRACTS[name]
+    assert main(argv + ["--out", "out"]) == code
+    assert capsys.readouterr().out == out
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
+
+
+RECORDED_RUNS = {
+    "contract": ["contract", "f.json", "g.json", "--r", "1"],
+    "check": ["check", "persistent.json", "--samples", "0"],
+    "check-csv": ["check", "persistent.json", "--samples", "0", "--format", "csv"],
+    "sweep": ["sweep", "--family", "disjoint", "--orders", "2,2", "--sizes", "1,1", "--n", "4,16", "--samples", "10000"],
+    "simulate": ["simulate", "persistent.json", "--samples", "100"],
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_RUNS)
+def test_config_records_every_option(workdir, name):
+    # meta.config is enough to rerun a document only if it holds every
+    # option the command parses; an option added later must land there too
+    argv = RECORDED_RUNS[name]
+    parser = argparse.ArgumentParser()
+    cli._COMMANDS[argv[0]][1](parser)
+    dests = {action.dest for action in parser._actions} - {"help", "out"} | {"subcommand"}
+    assert main(argv + ["--out", "out"]) in (0, 1)
+    text = Path("out").read_text()
+    if text.startswith("#"):
+        config = json.loads(next(line for line in text.splitlines() if line.startswith("# config: "))[10:])
+    else:
+        config = json.loads(text)["meta"]["config"]
+    assert set(config) == dests
+    assert config["subcommand"] == argv[0]
+    if argv[0] == "sweep":
+        assert config["orders"] == [2, 2] and config["sizes"] == [1, 1] and config["n"] == [4, 16]
+        assert all(type(value) is int for key in ("orders", "sizes", "n") for value in config[key])
+
+
+def test_simulate_bytes_do_not_depend_on_the_piece_size(tmp_path, monkeypatch):
+    # a block of 46 rows read in pieces of three rows is formatted as the
+    # same rows as one read in one piece, as the pinned run reads every block
+    monkeypatch.chdir(tmp_path)
+    vector = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (2, 2), theta=0.5), 8)
+    wc.save_vector(vector, "m.json")
+    argv = ["simulate", "m.json", "--samples", "3000", "--seed", "4", "--out"]
+    assert main(argv + ["whole.csv"]) == 0
+    rows, real = [], cli.evaluate
+
+    def evaluate(element, piece):
+        rows.append(len(piece))
+        return real(element, piece)
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    monkeypatch.setattr(montecarlo, "_PIECE", 3 * vector.space.dimension)
+    assert main(argv + ["pieces.csv"]) == 0
+    assert max(rows) == 3
+    assert (tmp_path / "pieces.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_check_refuses_a_kernel_whose_variance_overflows(workdir, capsys):
+    # Var = ||f||^2 overflows to inf; rescaling by 1/sqrt(inf) = 0 would make it the zero element
+    Path("huge.json").write_text(
+        '{"dimension": 1, "groups": [{"order": 1, "elements": '
+        '[{"dimension": 1, "order": 1, "entries": [{"index": [1], "value": 1e155}]}]}]}'
+    )
+    assert main(["check", "huge.json", "--samples", "0", "--out", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: huge.json: group 1, element 1: ") and "variance overflows to inf" in err
+    assert not os.path.exists("out.json")
+    assert not os.path.exists("out.json.tmp")
+
+
 CELL_VALUES = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, -1.5e300]
 
 
