@@ -35,7 +35,7 @@ from .tensor import HilbertSpace, SymmetricTensor, _float_ops, _run_starts, cont
 ORACLE_MAX_TOTAL_ORDER = 12
 ORACLE_MAX_DIMENSION = 6
 
-# Standardization check width used by vector constructors.
+# Largest |Var - 1| that normalize leaves alone and ChaosVector accepts.
 STANDARDIZED_TOL = 1e-10
 
 # Largest Hermite table (one row per slot) evaluate holds for one piece of
@@ -218,13 +218,16 @@ def variance(element: ChaosElement) -> float:
 
 
 def normalize(element: ChaosElement) -> ChaosElement:
-    """Rescale the kernel so the element has unit variance."""
+    """The element itself if |Var - 1| <= STANDARDIZED_TOL, so its bits stay; else rescaled by 1/sqrt(Var).
+
+    A zero variance, or one that overflows to inf (1/sqrt(inf) = 0), raises DegenerateInputError.
+    """
     var = variance(element)
     if var <= 0.0:
-        raise DegenerateInputError("cannot standardize an element with zero kernel")
+        raise DegenerateInputError("kernel has zero norm")
     if not math.isfinite(var):
-        raise DegenerateInputError(f"cannot standardize an element whose variance overflows to {var}")
-    return ChaosElement(element.kernel.scaled(1.0 / math.sqrt(var)))
+        raise DegenerateInputError(f"kernel variance overflows to {var}")
+    return element if abs(var - 1.0) <= STANDARDIZED_TOL else ChaosElement(element.kernel.scaled(1.0 / math.sqrt(var)))
 
 
 def multiply(left: ChaosElement, right: ChaosElement) -> ChaosExpansion:

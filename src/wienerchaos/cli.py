@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -297,7 +298,12 @@ def main(argv: list[str] | None = None) -> int:
     if args is None or extra:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed after the last write fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader closed early: devnull takes the exit flush; 141 is 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (WienerChaosError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -89,7 +89,7 @@ class ChaosVector:
                 var = variance(element)
                 if abs(var - 1.0) > STANDARDIZED_TOL:
                     raise ValidationError(
-                        f"group {g + 1} element {e + 1} is not standardized: variance {var!r}"
+                        f"group {g + 1} element {e + 1} is not standardized: variance {var!r}; normalize() rescales it"
                     )
         packed.sort(key=lambda group: -group[0].order)
         self.space = space

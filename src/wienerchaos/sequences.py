@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chaos import STANDARDIZED_TOL, ChaosElement, variance
+from .chaos import ChaosElement, normalize, variance
 from .exceptions import DegenerateInputError, InvalidKernelError, ValidationError, _integer, _real
 from .independence import ChaosVector
 from .tensor import HilbertSpace, RawTensor, SymmetricTensor, _checked_rows
@@ -249,12 +249,10 @@ def save_vector(vector: ChaosVector, path: str) -> None:
 
 
 def load_vector(source: str | Mapping) -> ChaosVector:
-    """Read a chaos vector manifest, standardizing each element.
+    """Read a chaos vector manifest, standardizing each element with normalize.
 
-    Elements may be inline kernel documents or paths relative to the
-    manifest file.  Any element whose variance is not exactly one is
-    rescaled; a warning fires when the rescale factor strays from one by
-    more than 1e-6, since that usually means the file was edited by hand.
+    Elements are inline kernel documents or paths relative to the manifest file.  A standardized element
+    keeps its bits, so a saved vector reloads bit-exactly; a rescale by more than 1e-6 warns of a hand edit.
     """
     document, where = _read_json(source, "vector")
     base_dir = "." if isinstance(source, Mapping) else os.path.dirname(os.path.abspath(source))
@@ -290,21 +288,12 @@ def load_vector(source: str | Mapping) -> ChaosVector:
                     f"dimension {dimension}"
                 )
             element = ChaosElement(kernel)
-            var = variance(element)
-            if var <= 0.0:
-                raise DegenerateInputError(f"{spot}: kernel has zero norm")
-            if not math.isfinite(var):
-                raise DegenerateInputError(f"{spot}: kernel variance overflows to {var}")
-            # only touch kernels that actually miss the standardization
-            # tolerance; rescaling by 1/sqrt(1 +- eps) would flip last bits
-            # and break bit-exact round trips of already-standard files
-            if abs(var - 1.0) > STANDARDIZED_TOL:
-                scale = 1.0 / math.sqrt(var)
-                if abs(scale - 1.0) > 1e-6:
-                    warnings.warn(
-                        f"{spot}: rescaled by {scale:.6g} to unit variance", stacklevel=2
-                    )
-                element = ChaosElement(kernel.scaled(scale))
-            elements.append(element)
+            try:
+                elements.append(normalize(element))
+            except DegenerateInputError as error:
+                raise DegenerateInputError(f"{spot}: {error}") from None
+            scale = 1.0 / math.sqrt(variance(element))
+            if abs(scale - 1.0) > 1e-6:
+                warnings.warn(f"{spot}: rescaled by {scale:.6g} to unit variance", stacklevel=2)
         groups.append(elements)
     return ChaosVector(groups)

@@ -31,6 +31,7 @@ from wienerchaos.chaos import (
 )
 from wienerchaos.exceptions import DegenerateInputError, ResourceLimitError, ValidationError
 from wienerchaos.hermite import _hermite
+from wienerchaos.independence import ChaosVector
 from wienerchaos.montecarlo import sample
 from wienerchaos.sequences import FamilySpec, generate
 from wienerchaos.tensor import HilbertSpace, SymmetricTensor
@@ -388,6 +389,24 @@ def test_variance_and_normalize():
     zero = ChaosElement(SymmetricTensor(sp, 1, {(1,): 0.5})).kernel.scaled(0.0)
     with pytest.raises(DegenerateInputError):
         normalize(ChaosElement(zero))
+
+
+def test_normalize_leaves_a_standardized_element_alone():
+    # rescaling by 1/sqrt(1 +- eps) would move last bits, so a standardized element comes back itself
+    rng = np.random.default_rng(0)
+    sp = HilbertSpace(6)
+    for k in range(200):
+        once = normalize(rand_element(rng, sp, 1 + k % 3))
+        twice = normalize(once)
+        assert twice is once
+        assert twice.kernel.val.tobytes() == once.kernel.val.tobytes()
+
+
+def test_chaos_vector_names_normalize_for_an_element_off_unit_variance():
+    sp = HilbertSpace(2)
+    F = ChaosElement(SymmetricTensor(sp, 2, {(1, 2): 3.0}))  # variance 36
+    with pytest.raises(ValidationError, match=r"group 1 element 1 is not standardized: variance 36.*normalize\(\)"):
+        ChaosVector([[F], [normalize(F)]])
 
 
 def test_normalize_refuses_a_variance_that_overflows():

@@ -506,6 +506,39 @@ def test_check_refuses_a_kernel_whose_variance_overflows(workdir, capsys):
     assert not os.path.exists("out.json.tmp")
 
 
+def test_check_refuses_a_kernel_with_zero_norm(workdir, capsys):
+    Path("zero.json").write_text(
+        '{"dimension": 2, "groups": [{"order": 1, "elements": [{"dimension": 2, "order": 1, "entries": '
+        '[{"index": [1], "value": 1.0}]}]}, {"order": 1, "elements": [{"dimension": 2, "order": 1, "entries": []}]}]}'
+    )
+    assert main(["check", "zero.json", "--samples", "0", "--out", "out.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: zero.json: group 2, element 1: ") and "zero norm" in err
+    assert not os.path.exists("out.json")
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["simulate", "disjoint.json", "--samples", "100000"], 2),  # as `simulate ... | head -2`
+        (["contract", "f.json", "g.json", "--r", "1", "--out", "c.json"], 0),  # its one line waits in the buffer
+    ],
+    ids=["simulate", "contract"],
+)
+def test_a_reader_that_closes_early_ends_the_command_quietly(workdir, argv, lines):
+    # exit 128 + SIGPIPE with nothing on stderr, as a shell reports for `yes | head`; not an input error
+    env = {**os.environ, "PYTHONPATH": str(Path(wc.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "wienerchaos", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    assert all(process.stdout.readline() for _ in range(lines))
+    process.stdout.close()
+    assert process.wait(timeout=60) == 141
+    assert process.stderr.read() == b""
+    process.stderr.close()
+
+
 CELL_VALUES = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, -1.5e300]
 
 

@@ -502,6 +502,13 @@ def test_vector_round_trip(tmp_path):
     assert vector_document(back) == vector_document(v)
 
 
+def test_normalize_returns_a_loaded_element_itself():
+    # load_vector standardizes through normalize, so a loaded manifest is already normalized
+    v = wc.generate(wc.FamilySpec("vanishing_overlap", (3, 2), (2, 1), theta=0.3), 4)
+    for element in wc.load_vector(json.loads(vector_document(v))).elements:
+        assert wc.normalize(element) is element
+
+
 def test_vector_manifest_with_element_paths(tmp_path):
     sp = HilbertSpace(2)
     wc.save_kernel(SymmetricTensor(sp, 1, {(1,): 1.0}), os.path.join(tmp_path, "a.json"))
