@@ -44,9 +44,9 @@ _MAX_TABLE = 1 << 16
 
 
 class ChaosElement:
-    """A single integral I_q(f), q >= 1; the kernel fixes the order."""
+    """A single integral I_q(f), q >= 1; the kernel fixes the order.  Caches its variance and one evaluation layout."""
 
-    __slots__ = ("order", "kernel", "_prep", "_groups", "_var")
+    __slots__ = ("order", "kernel", "_layout", "_var")
 
     def __init__(self, kernel: SymmetricTensor):
         if not isinstance(kernel, SymmetricTensor):
@@ -55,7 +55,7 @@ class ChaosElement:
             raise ValidationError("chaos elements need order >= 1; constants belong in ChaosExpansion")
         self.order = kernel.order
         self.kernel = kernel
-        self._prep = self._groups = self._var = None
+        self._layout = self._var = None
 
     @property
     def space(self) -> HilbertSpace:
@@ -65,45 +65,30 @@ class ChaosElement:
         return f"ChaosElement(order={self.order}, N={self.space.dimension}, nnz={len(self.kernel.val)})"
 
     @_float_ops
-    def prepared(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flat (coords, counts, offsets, coeffs) arrays for batch evaluation.
+    def _evaluation_layout(self) -> tuple[np.ndarray, int, list, list]:
+        """(coeffs, slots, by_count, by_position) for _evaluate_element, built from the kernel rows once.
 
-        For stored entry e, coeffs[e] is q! times its kernel value, and slots
-        offsets[e]:offsets[e+1] of (coords, counts) hold its 0-based
-        coordinates and their occupation counts.  The arrays are cached in
-        one assignment; threads that call this at once may each build them,
-        equal in every entry, and one copy is kept.
+        coeffs[e] is q! times stored entry e's value.  A slot is a run of equal coordinates in an entry's
+        index.  evaluate's Hermite table has `slots` rows: slot position 0 of every entry, then position 1
+        of every entry that has one, and so on, each in entry order.  by_count holds (count, 0-based
+        coordinates, table rows) per occupation count, and by_position (entries + 1, low, high) per
+        position p >= 1, whose table rows are low:high.  The layout is cached in one assignment; threads
+        that build it at once build equal copies, and one is kept.
         """
-        if self._prep is None:
-            idx = self.kernel.idx
-            starts = _run_starts(idx)
-            self._prep = (
-                idx[starts] - 1,
-                np.diff(np.flatnonzero(starts), append=idx.size),
-                np.concatenate(([0], np.cumsum(starts.sum(axis=1)))),
+        if self._layout is None:
+            starts = _run_starts(self.kernel.idx)
+            position = np.cumsum(starts, axis=1)[starts]  # 1-based, per slot in row-major order
+            slot = np.argsort(position, kind="stable")  # per table row, its slot
+            entry, coords = np.nonzero(starts)[0][slot], self.kernel.idx[starts][slot] - 1
+            counts = np.diff(np.flatnonzero(starts), append=starts.size)[slot]
+            bounds = [*(np.flatnonzero(np.diff(position[slot])) + 1).tolist(), slot.size]
+            self._layout = (
                 float(math.factorial(self.order)) * self.kernel.val,
-            )
-        return self._prep
-
-    def _slot_groups(self) -> tuple[list, list]:
-        """The slots as evaluate's Hermite table holds them, cached under the rule of prepared().
-
-        The table holds slot p of every entry that has one in rows low:high,
-        position after position, each in entry order.  Returns (count,
-        coords, table rows) per occupation count and (entries + 1, low,
-        high) per slot position p >= 1.
-        """
-        if self._groups is None:
-            coords, counts, offsets, _ = self.prepared()
-            entry = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-            order = np.argsort(np.arange(coords.size) - offsets[entry], kind="stable")  # by slot position
-            entry, coords, counts = entry[order], coords[order], counts[order]
-            bounds = [*(np.flatnonzero(np.diff(entry) <= 0) + 1).tolist(), coords.size]
-            self._groups = (
+                slot.size,
                 [(a, coords[counts == a], np.flatnonzero(counts == a)) for a in np.flatnonzero(np.bincount(counts))],
                 [(entry[low:high] + 1, low, high) for low, high in zip(bounds, bounds[1:])],
             )
-        return self._groups
+        return self._layout
 
 
 class ChaosExpansion:
@@ -186,20 +171,20 @@ def evaluate(obj: Union[ChaosElement, ChaosExpansion], x: np.ndarray) -> Union[f
 def _evaluate_element(element: ChaosElement, x: np.ndarray) -> np.ndarray:
     """All entries at once, on row pieces whose Hermite table holds at most _MAX_TABLE doubles.
 
-    A piece costs one _hermite call per occupation count, one multiply per
-    slot position and one axis-0 reduction of the (entries + 1) x rows
-    terms, whose row 0 is 0.0.  That reduction adds rows in order, so each
-    sample is 0.0 + t_0 + t_1 + ... in entry order; a spare zero column
-    keeps a one-row piece from being summed pairwise.
+    Every piece reads the element's one cached layout (_evaluation_layout)
+    and costs one _hermite call per occupation count, one multiply per slot
+    position and one axis-0 reduction of the (entries + 1) x rows terms,
+    whose row 0 is 0.0.  That reduction adds rows in order, so each sample
+    is 0.0 + t_0 + t_1 + ... in entry order; a spare zero column keeps a
+    one-row piece from being summed pairwise.
     """
-    coords, _, _, coeffs = element.prepared()
-    by_count, by_position = element._slot_groups()
+    coeffs, slots, by_count, by_position = element._evaluation_layout()
     out = np.empty(x.shape[0])
-    step = max(1, _MAX_TABLE // max(coords.size, 1))
+    step = max(1, _MAX_TABLE // max(slots, 1))
     for start in range(0, x.shape[0], step):
         piece = x[start : start + step]
         rows = len(piece)
-        table = np.empty((coords.size, rows))
+        table = np.empty((slots, rows))
         for count, columns, table_rows in by_count:
             table[table_rows] = _hermite(count, piece.T[columns])
         terms = np.zeros((coeffs.size + 1, rows + 1))

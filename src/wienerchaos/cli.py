@@ -81,14 +81,6 @@ def _csv(meta: dict, columns: tuple[str, ...], template: str, rows: Iterable[tup
     return head + "".join(template % row for row in rows)
 
 
-def _with_meta(document: str, meta: dict) -> str:
-    # Canonical kernel/raw documents open with a lone '{'; splice the meta
-    # object in as the first key so the payload lines stay byte-identical.
-    lines = document.split("\n")
-    lines.insert(1, f'  "meta": {json.dumps(meta, sort_keys=True)},')
-    return "\n".join(lines)
-
-
 def _emit(text: str | Iterable[str], out: str | None) -> None:
     """Write text, or its chunks in order, to stdout or atomically to out."""
     if out is None:
@@ -104,7 +96,7 @@ def cmd_contract(args) -> int:
     norm = result.norm()
     meta = _meta(_config("contract", args), seed=None)
     meta["norm"] = norm
-    _emit(_with_meta(table_document(result), meta), args.out)
+    _emit(table_document(result, meta), args.out)
     stream = sys.stdout if args.out else sys.stderr
     print(f"norm: {format_float(norm)}", file=stream)
     return 0

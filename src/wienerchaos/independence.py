@@ -220,11 +220,11 @@ class PairRow:
 class EmpiricalDependence:
     """Largest factorization gap over dictionary tuples, with its stderr.
 
-    rows holds (labels, |gap|, stderr) per tuple; budgets holds, per row,
-    the dictionary factors of its ratio budget: ||psi_d'||_inf
-    ||psi_d||_inf^(m_d - 1) for the last group d, then ||psi_j||_(q_1)^m_j
-    for each other group j, with m_j the group sizes and ||psi||_(q_1) =
-    TestFunction.norm(q_1).
+    orders and sizes are the sampled vector's.  rows holds (labels, |gap|,
+    stderr) per tuple; budgets holds, per row, the dictionary factors of its
+    ratio budget: ||psi_d'||_inf ||psi_d||_inf^(m_d - 1) for the last group
+    d, then ||psi_j||_(q_1)^m_j for each other group j, with m_j the group
+    sizes and ||psi||_(q_1) = TestFunction.norm(q_1).
     """
 
     gap: float
@@ -233,6 +233,8 @@ class EmpiricalDependence:
     samples: int
     seed: int
     n_blocks: int
+    orders: tuple[int, ...]
+    sizes: tuple[int, ...]
     rows: tuple[tuple[tuple[str, ...], float, float], ...]
     budgets: tuple[tuple[float, ...], ...]
 
@@ -241,9 +243,15 @@ class EmpiricalDependence:
 
         The exact side comes from report.pairs, the empirical side from
         this result, so no sample is drawn and no contraction runs; see
-        bound_ratio for the budget.  Raises DegenerateInputError when a
-        cross pair has zero squared covariance or a tuple's budget is zero.
+        bound_ratio for the budget.  Raises ValidationError for a report of
+        other orders or sizes, and DegenerateInputError when a cross pair has
+        zero squared covariance or a tuple's budget is zero.
         """
+        if (report.orders, report.sizes) != (self.orders, self.sizes):
+            raise ValidationError(
+                f"report of orders {report.orders} and sizes {report.sizes} does not match "
+                f"the sampled vector's orders {self.orders} and sizes {self.sizes}"
+            )
         cov_root_sum = _cross_cov_root_sum(report.pairs)
         budgets = (_budget(labels, f, cov_root_sum) for (labels, _, _), f in zip(self.rows, self.budgets))
         return _max_ratio(self.rows, budgets)
@@ -507,6 +515,8 @@ def _draw(vector: ChaosVector, plan: tuple, samples: int, seed: int) -> Empirica
         samples=batch.count,
         seed=batch.seed,
         n_blocks=n_blocks,
+        orders=vector.orders,
+        sizes=vector.sizes,
         rows=rows,
         budgets=tuple(budgets),
     )

@@ -127,10 +127,11 @@ def format_float(value: float) -> str:
 _SIDES = {SymmetricTensor: {"index": "order"}, RawTensor: {"left": "left_order", "right": "right_order"}}
 
 
-def table_document(table: SymmetricTensor | RawTensor) -> str:
-    """Canonical JSON text of a kernel or raw entry table (entries in order, 17-digit floats)."""
+def table_document(table: SymmetricTensor | RawTensor, meta: dict | None = None) -> str:
+    """Canonical JSON text of a kernel or raw entry table (entries in order, 17-digit floats), meta first if given."""
     sides = _SIDES[type(table)]
-    lines = ["{", f'  "dimension": {table.space.dimension},']
+    head = [] if meta is None else [f'  "meta": {json.dumps(meta, sort_keys=True)},']
+    lines = ["{", *head, f'  "dimension": {table.space.dimension},']
     lines += [f'  "{key}": {getattr(table, key)},' for key in sides.values()]
     rows = []
     for key, value in table.entries.items():

@@ -64,15 +64,7 @@ class HilbertSpace:
 
 def occupation(index: Index) -> tuple[tuple[int, int], ...]:
     """Return ((coordinate, count), ...) pairs of a sorted multi-index."""
-    pairs = []
-    i = 0
-    while i < len(index):
-        j = i
-        while j < len(index) and index[j] == index[i]:
-            j += 1
-        pairs.append((index[i], j - i))
-        i = j
-    return tuple(pairs)
+    return tuple((coord, len(list(run))) for coord, run in itertools.groupby(index))
 
 
 def multiplicity(index: Index) -> int:

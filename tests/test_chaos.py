@@ -34,7 +34,7 @@ from wienerchaos.hermite import _hermite
 from wienerchaos.independence import ChaosVector
 from wienerchaos.montecarlo import sample
 from wienerchaos.sequences import FamilySpec, generate
-from wienerchaos.tensor import HilbertSpace, SymmetricTensor
+from wienerchaos.tensor import HilbertSpace, SymmetricTensor, occupation
 
 
 def gauss_grid(dim, nodes=10):
@@ -116,27 +116,29 @@ def test_evaluate_accepts_fortran_order_input():
 
 
 def per_entry_evaluate(element, x):
-    # reference: one entry at a time, its factors left to right, each term
-    # added to the running sum from 0.0 in stored entry order
-    coords, counts, offsets, coeffs = element.prepared()
+    # reference, read from the kernel entries and not from evaluate's layout:
+    # one entry at a time, its factors left to right, each term added to the
+    # running sum from 0.0 in stored entry order
+    scale = float(math.factorial(element.order))
     out = np.zeros(x.shape[0])
-    for e in range(coeffs.shape[0]):
-        term = coeffs[e]
-        for s in range(offsets[e], offsets[e + 1]):
-            term = term * _hermite(int(counts[s]), x[:, coords[s]])
+    for index, value in element.kernel.items():
+        term = scale * value
+        for coord, count in occupation(index):
+            term = term * _hermite(count, x[:, coord - 1])
         out = out + term
     return out
 
 
 @pytest.mark.parametrize("table", [chaos._MAX_TABLE, 7, 1])
 def test_evaluate_equals_the_per_entry_loop(monkeypatch, table):
-    # random kernels of orders 1-5 on spaces of 1 to 6 coordinates, with
-    # columns of exact 0.0 and +-1.0 so that H_1 and H_2 factors are zero
-    # and terms are signed zeros; small tables cut the rows into pieces of
-    # a few rows and of one row.  Bytes must agree, so -0.0 and +0.0 differ.
+    # random kernels of orders 1-5, 11 and 20 on spaces of 1 to 6
+    # coordinates, with columns of exact 0.0 and +-1.0 so that H_1 and H_2
+    # factors are zero and terms are signed zeros; small tables cut the rows
+    # into pieces of a few rows and of one row.  Bytes must agree, so -0.0
+    # and +0.0 differ.
     monkeypatch.setattr(chaos, "_MAX_TABLE", table)
     rng = np.random.default_rng(20)
-    for order in range(1, 6):
+    for order in (*range(1, 6), 11, 20):
         for dim in range(1, 7):
             space = HilbertSpace(dim)
             entries = {}

@@ -397,6 +397,23 @@ def test_ratio_from_held_results_matches_bound_ratio(monkeypatch):
     assert len(emp.budgets) == len(emp.rows)
 
 
+def test_ratio_rejects_a_report_of_another_vector():
+    # the budget's covariances must come from the vector that was sampled:
+    # a report of other orders, or of the same orders in other sizes, raises
+    v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5), 4)
+    emp = wc.empirical_dependence(v, samples=20_000, seed=6)
+    assert (emp.orders, emp.sizes) == ((2, 2), (1, 1))
+    others = {
+        r"orders \(2, 2, 2\) and sizes \(1, 1, 1\)": wc.FamilySpec("persistent_overlap", (2, 2, 2), (1, 1, 1)),
+        r"orders \(2, 2\) and sizes \(2, 1\)": wc.FamilySpec("vanishing_overlap", (2, 2), (2, 1)),
+    }
+    for shown, spec in others.items():
+        report = wc.criterion_check(wc.generate(spec, 4))
+        with pytest.raises(ValidationError, match=rf"report of {shown} does not match .* \(2, 2\) and sizes \(1, 1\)"):
+            emp.ratio(report)
+    assert repr(emp.ratio(wc.criterion_check(v))) == repr(wc.bound_ratio(v, samples=20_000, seed=6))
+
+
 def test_bound_ratio_rejects_exact_independence_before_sampling(monkeypatch):
     v = wc.generate(wc.FamilySpec("disjoint", (2, 2), (1, 1)), 4)
     forbid(monkeypatch, wc.montecarlo, "sample")

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from wienerchaos import FamilySpec, criterion_check, generate, tensor
-from wienerchaos.chaos import ChaosElement
 from wienerchaos.exceptions import ResourceLimitError, ValidationError
 from wienerchaos.tensor import (
     MAX_ORDER,
@@ -108,18 +107,6 @@ def dict_inner(f, g):
     for key in sorted(f.entries.keys() & g.entries.keys()):
         total += multiplicity(key) * f.entries[key] * g.entries[key]
     return total
-
-
-def dict_prepared(element):
-    coords, counts, offsets, coeffs = [], [], [0], []
-    for index, value in element.kernel.items():
-        for coord, count in occupation(index):
-            coords.append(coord - 1)
-            counts.append(count)
-        offsets.append(len(coords))
-        coeffs.append(float(math.factorial(element.order)) * value)
-    ints = [np.asarray(a, dtype=np.int64) for a in (coords, counts, offsets)]
-    return (*ints, np.asarray(coeffs, dtype=np.float64))
 
 
 def rand_tensor(rng, space, order, nnz=4):
@@ -530,9 +517,5 @@ def test_array_calculus_matches_the_dict_oracle_bit_for_bit():
             _same_entries(sym.entries, dict_symmetrized(raw.entries))
             assert raw.norm_and_symmetrized() == (raw.norm(), sym)
             assert contract_sym(f, g, r) == sym
-        for t in (f, g):
-            if t.order >= 1:
-                for got, want in zip(ChaosElement(t).prepared(), dict_prepared(ChaosElement(t))):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
     f, g = cases[-2]
     assert max(multiplicity(left) * multiplicity(right) for left, right in contract(f, g, 0).entries) > 2**63
