@@ -39,8 +39,9 @@ ORACLE_MAX_DIMENSION = 6
 STANDARDIZED_TOL = 1e-10
 
 # Largest Hermite table (one row per slot) evaluate holds for one piece of
-# sample rows, in doubles (512 KiB); more slots than that go a row at a time.
-_MAX_TABLE = 1 << 16
+# sample rows, in doubles (128 KiB); more slots than that go a row at a time.
+# At 512 KiB each piece's fresh table and terms fault in their pages.
+_MAX_TABLE = 1 << 14
 
 
 class ChaosElement:

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .sequences import (
     FAMILIES,
     FamilySpec,
     format_float,
+    format_rows,
     generate,
     load_kernel,
     load_vector,
@@ -71,14 +72,14 @@ def _meta(config: dict, seed: int | None) -> dict:
     }
 
 
-def _csv(meta: dict, columns: tuple[str, ...], template: str, rows: Iterable[tuple]) -> str:
-    """The '#' lines read from meta, the column names, then each row as template % row.
+def _csv(meta: dict, columns: tuple[str, ...], rows: Sequence[tuple]) -> str:
+    """The '#' lines read from meta, the column names, then format_rows of the rows as one float array.
 
-    The template's cells are "%d" and "%.17g"; "%.17g" of a float is format_float's text.
+    Every cell is format_float's text; a whole float, such as a count or an index, is the integer's text.
     """
     head = f"# {meta['tool']}\n# generator: {meta['generator']}\n# seed: {meta['seed']}\n"
     head += f"# config: {json.dumps(meta['config'], sort_keys=True)}\n{','.join(columns)}\n"
-    return head + "".join(template % row for row in rows)
+    return head + format_rows(np.array(rows, dtype=np.float64).reshape(-1, len(columns)))
 
 
 def _emit(text: str | Iterable[str], out: str | None) -> None:
@@ -108,8 +109,8 @@ def cmd_check(args) -> int:
     meta = _meta(_config("check", args), args.seed)
     empirical = empirical_dependence(vector, samples=args.samples, seed=args.seed) if args.samples else None
     if args.format == "csv":
-        rows = ((p.i, p.j, p.cov2, p.max_norm, p.argmax_r, p.cross) for p in report.pairs)
-        text = _csv(meta, PAIR_COLUMNS, "%d,%d,%.17g,%.17g,%d,%d\n", rows)
+        rows = [(p.i, p.j, p.cov2, p.max_norm, p.argmax_r, p.cross) for p in report.pairs]
+        text = _csv(meta, PAIR_COLUMNS, rows)
     else:
         payload = {
             "orders": report.orders,
@@ -176,7 +177,7 @@ def cmd_sweep(args) -> int:
         except DegenerateInputError:
             ratio = float("nan")
         rows.append((n, report.witness_cov, report.witness_norm, empirical.gap, empirical.stderr, ratio))
-    _emit(_csv(_meta(config, args.seed), SWEEP_COLUMNS, "%d" + ",%.17g" * 5 + "\n", rows), args.out)
+    _emit(_csv(_meta(config, args.seed), SWEEP_COLUMNS, rows), args.out)
     return 0
 
 
@@ -187,21 +188,19 @@ def cmd_simulate(args) -> int:
     batch = montecarlo.sample(args.seed, vector.space.dimension, args.samples)
     elements = vector.elements
     columns = ("sample",) + tuple(f"F{i + 1}" for i in range(len(elements)))
-    template = "%d" + ",%.17g" * len(elements) + "\n"
 
-    def block_rows(index: int) -> np.ndarray:
+    def block_text(index: int) -> str:
         # each element's values over one block, a piece of normals at a time,
-        # then the block's rows of (sample number, element values...)
+        # then the block's rows of (sample number, element values...) as text,
+        # formatted here on the worker thread
         values = np.hstack([[evaluate(e, piece) for e in elements] for piece in batch.pieces(index)])
         first = index * batch.block_size + 1
-        return np.column_stack([np.arange(first, first + values.shape[1]), values.T])
+        return format_rows(np.column_stack([np.arange(first, first + values.shape[1], dtype=np.float64), values.T]))
 
     def chunks() -> Iterator[str]:
-        # the header is _csv with no rows; each block's rows then follow as one %
-        # operation of the repeated template; %d of a whole float is the int's text
-        yield _csv(_meta(_config("simulate", args), args.seed), columns, template, ())
-        for rows in batch.map_blocks(block_rows):
-            yield template * len(rows) % tuple(rows.ravel().tolist())
+        # the header is _csv with no rows; each block's text then follows in block order
+        yield _csv(_meta(_config("simulate", args), args.seed), columns, ())
+        yield from batch.map_blocks(block_text)
 
     _emit(chunks(), args.out)
     return 0

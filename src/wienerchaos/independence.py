@@ -24,6 +24,7 @@ import itertools
 import math
 import operator
 import sys
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -220,11 +221,11 @@ class PairRow:
 class EmpiricalDependence:
     """Largest factorization gap over dictionary tuples, with its stderr.
 
-    orders and sizes are the sampled vector's.  rows holds (labels, |gap|,
-    stderr) per tuple; budgets holds, per row, the dictionary factors of its
-    ratio budget: ||psi_d'||_inf ||psi_d||_inf^(m_d - 1) for the last group
-    d, then ||psi_j||_(q_1)^m_j for each other group j, with m_j the group
-    sizes and ||psi||_(q_1) = TestFunction.norm(q_1).
+    orders, sizes and fingerprint are the sampled vector's.  rows holds
+    (labels, |gap|, stderr) per tuple; budgets holds, per row, the dictionary
+    factors of its ratio budget: ||psi_d'||_inf ||psi_d||_inf^(m_d - 1) for
+    the last group d, then ||psi_j||_(q_1)^m_j for each other group j, with
+    m_j the group sizes and ||psi||_(q_1) = TestFunction.norm(q_1).
     """
 
     gap: float
@@ -235,6 +236,7 @@ class EmpiricalDependence:
     n_blocks: int
     orders: tuple[int, ...]
     sizes: tuple[int, ...]
+    fingerprint: str
     rows: tuple[tuple[tuple[str, ...], float, float], ...]
     budgets: tuple[tuple[float, ...], ...]
 
@@ -244,13 +246,18 @@ class EmpiricalDependence:
         The exact side comes from report.pairs, the empirical side from
         this result, so no sample is drawn and no contraction runs; see
         bound_ratio for the budget.  Raises ValidationError for a report of
-        other orders or sizes, and DegenerateInputError when a cross pair has
-        zero squared covariance or a tuple's budget is zero.
+        another vector (other orders or sizes, or another fingerprint), and
+        DegenerateInputError when a cross pair has zero squared covariance or
+        a tuple's budget is zero.
         """
         if (report.orders, report.sizes) != (self.orders, self.sizes):
             raise ValidationError(
                 f"report of orders {report.orders} and sizes {report.sizes} does not match "
                 f"the sampled vector's orders {self.orders} and sizes {self.sizes}"
+            )
+        if report.fingerprint != self.fingerprint:
+            raise ValidationError(
+                f"report of vector {report.fingerprint} does not match the sampled vector {self.fingerprint}"
             )
         cov_root_sum = _cross_cov_root_sum(report.pairs)
         budgets = (_budget(labels, f, cov_root_sum) for (labels, _, _), f in zip(self.rows, self.budgets))
@@ -259,11 +266,12 @@ class EmpiricalDependence:
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    """Exact criterion verdicts, witnesses and the pair rows behind them."""
+    """Exact criterion verdicts, witnesses and the pair rows behind them; fingerprint is the vector's."""
 
     tol: float
     orders: tuple[int, ...]
     sizes: tuple[int, ...]
+    fingerprint: str
     cov_matrix: np.ndarray
     pairs: tuple[PairRow, ...]
     cov_pass: bool
@@ -273,6 +281,20 @@ class IndependenceReport:
     witness_norm: float
     witness_norm_pair: tuple[int, int]
     witness_norm_r: int
+
+
+def _fingerprint(vector: ChaosVector) -> str:
+    """CRC-32, as 8 hex digits, of the group layout and entry counts, then of each element's index and value arrays.
+
+    zlib comes loaded with numpy; hashlib's sha256 would add its OpenSSL
+    import, 3-9 ms and 3.7 MB, to every process that builds a report.
+    """
+    layout = (vector.space.dimension, vector.orders, vector.sizes, [len(e.kernel.val) for e in vector.elements])
+    crc = zlib.crc32(repr(layout).encode())
+    for element in vector.elements:
+        crc = zlib.crc32(np.ascontiguousarray(element.kernel.idx), crc)
+        crc = zlib.crc32(np.ascontiguousarray(element.kernel.val), crc)
+    return f"{crc:08x}"
 
 
 def squared_cov_matrix(vector: ChaosVector) -> np.ndarray:
@@ -342,6 +364,7 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
         tol=width,
         orders=vector.orders,
         sizes=vector.sizes,
+        fingerprint=_fingerprint(vector),
         cov_matrix=cov_matrix,
         pairs=tuple(rows),
         cov_pass=all(row.cov2 < width for row in cross),
@@ -517,6 +540,7 @@ def _draw(vector: ChaosVector, plan: tuple, samples: int, seed: int) -> Empirica
         n_blocks=n_blocks,
         orders=vector.orders,
         sizes=vector.sizes,
+        fingerprint=_fingerprint(vector),
         rows=rows,
         budgets=tuple(budgets),
     )

@@ -23,6 +23,7 @@ The file formats are plain JSON with 1-based sorted multi-indices and
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import os
@@ -121,6 +122,127 @@ def generate(spec: FamilySpec, n: int) -> ChaosVector:
 def format_float(value: float) -> str:
     """17 significant digits, which round-trip IEEE doubles exactly."""
     return format(float(value), ".17g")
+
+
+# Most cells format_rows formats in one numpy pass: 2^12 cells hold 128 KiB
+# of records and of keep masks, and a wider piece raised simulate's RSS.
+_FORMAT_CELLS = 1 << 12
+
+# A cell's text is cut out of a 32-byte record of four little-endian words.
+# Its 17 digits sit at bytes 6..22 and again at 7..23.  A value of 1 or more
+# keeps its integer digits from the first copy, a dot after them and its
+# fraction from the second copy; a value below 1 keeps "0." and its zeros
+# below byte 6 and its digits from the first copy.  The sign sits just before
+# the text and the separator just after it, so a cell is one run of kept
+# bytes.  The layout depends on the exponent k in -4..15 and the number t of
+# significant digits alone: layout (k + 4) * 17 + t - 1 of _LAYOUTS.
+_WORD = np.dtype("<u8")
+_LAYOUTS = 20 * 17
+_POW10 = 10.0 ** np.arange(23)  # exact doubles
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """(words, trailing, first, second, fixed, keep), built on first use.
+
+    words[v] holds v's four zero-padded ASCII digits in its low bytes, and
+    trailing[v] counts their trailing zeros.  Per layout, first and second
+    mask the two digit copies in words 0..2 (one row per word), fixed holds
+    the other bytes with a ',' separator (rows + _LAYOUTS: a newline), and keep
+    marks the text of a positive value (rows + _LAYOUTS: of a negative one).
+    """
+    v = np.arange(10_000)
+    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1)
+    words = (digits + ord("0")).astype(np.uint8).view("<u4").ravel().astype(_WORD)
+    trailing = np.argmax(np.hstack([digits[:, ::-1] != 0, np.ones((len(v), 1), bool)]), axis=1)
+    patterns = []
+    for k in range(-4, 16):
+        for t in range(1, 18):  # 'a' and 'b' are digits of the first and second copy, ';' the separator
+            text = "-" + "a" * (k + 1) + "." + "b" * (t - k - 1) if k >= 0 else "-0." + "0" * (-k - 1) + "a" * t
+            patterns.append((" " * (6 - text.index("a")) + text.rstrip(".") + ";").ljust(32))
+    pattern = np.frombuffer("".join(patterns).encode("ascii"), np.uint8).reshape(-1, 32)
+    masks = [np.where(pattern == ord(c), 255, 0).astype(np.uint8).view(_WORD)[:, :3].T.copy() for c in "ab"]
+    fixed = np.where(np.isin(pattern, np.frombuffer(b"ab ", np.uint8)), 0, pattern)
+    fixed = np.concatenate([np.where(pattern == ord(";"), ord(c), fixed) for c in ",\n"]).astype(np.uint8)
+    keep = np.concatenate([(pattern != ord(" ")) & (pattern != ord("-")), pattern != ord(" ")])
+    return words, trailing, *masks, fixed.view(_WORD), keep
+
+
+def _significand(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, k): each a in [1e-4, 1e16) rounded half to even to D * 10^(k - 16), D a 17-digit integer.
+
+    k starts at floor(log10 a) and moves until the exact product a * 10^(16 - k),
+    hi + lo by Dekker's two-product (Numer. Math. 18, 1971), lies in [1e16, 1e17).
+    hi is then an even integer, so hi + rint(lo) rounds half to even.  D never
+    rounds up to 10^17: the largest double below each power of ten from 1e-3
+    to 1e16 is more than 8e-17 of it below it, and a carry needs 5e-18.
+    """
+    k = np.floor(np.log10(a)).astype(np.int64)
+    a1 = a * 134_217_729.0  # Veltkamp's split by 2^27 + 1: a = a1 + a2 in 26-bit halves
+    a1 -= a1 - a
+    a2 = a - a1
+    while True:
+        b = np.take(_POW10, 16 - k)
+        b1 = b * 134_217_729.0
+        b1 -= b1 - b
+        hi = a * b
+        lo = ((a1 * b1 - hi) + a1 * (b - b1) + a2 * b1) + a2 * (b - b1)
+        up, down = (hi > 1e17) | (hi == 1e17) & (lo >= 0.0), (hi < 1e16) | (hi == 1e16) & (lo < 0.0)
+        if not (up.any() or down.any()):
+            break
+        k += up.astype(np.int64) - down
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), k
+
+
+def _format_piece(table: np.ndarray) -> str:
+    words, trailing, first_mask, second_mask, fixed, keep = _format_tables()
+    rows, columns = table.shape
+    cells = table.ravel()
+    magnitude = np.abs(cells)
+    others = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)))  # 0, nan, inf, or written with an exponent
+    magnitude[others] = 1.0
+    significand, k = _significand(magnitude)
+    high = significand // 10**8
+    pair = np.stack([high, significand - high * 10**8])
+    lead = pair[0] // 10**8
+    pair[0] -= lead * 10**8
+    top = pair // 10**4  # digits 2-5 and 10-13
+    bottom = pair - top * 10**4  # digits 6-9 and 14-17
+    second = np.empty((3, len(cells)), _WORD)  # words 0..2 of the records with the digits at bytes 7..23
+    second[0] = (lead.astype(_WORD) + ord("0")) << 56
+    second[1:] = np.take(words, top) | np.take(words, bottom) << 32
+    first = second >> 8  # the digits at bytes 6..22
+    first[:2] |= second[1:] << 56
+    zeros = np.take(trailing, top[0])
+    for group in (bottom[0], top[1], bottom[1]):
+        zeros = np.take(trailing, group) + (group == 0) * zeros
+    layout = (k + 4) * 17 + 16 - zeros
+    records = np.take(fixed, layout + np.tile(np.arange(columns) == columns - 1, rows) * _LAYOUTS, axis=0)
+    first &= np.take(first_mask, layout, axis=1)
+    first |= second & np.take(second_mask, layout, axis=1)
+    for w in range(3):
+        records[:, w] |= first[w]
+    mask = np.take(keep, layout + np.signbit(cells) * _LAYOUTS, axis=0)
+    records = records.view(np.uint8)
+    for cell in others.tolist():  # format_float's text and the separator from byte 0
+        text = format_float(cells[cell]).encode("ascii") + (b"\n" if cell % columns == columns - 1 else b",")
+        records[cell, : len(text)] = np.frombuffer(text, np.uint8)
+        mask[cell] = np.arange(32) < len(text)
+    return records[mask].tobytes().decode("ascii")
+
+
+def format_rows(table: np.ndarray) -> str:
+    """CSV text of a 2-D float array: format_float's text per cell, ',' between cells, '\\n' after each row.
+
+    A cell that "%.17g" writes without an exponent, a magnitude in [1e-4, 1e16),
+    gets its 17 digits from an exact product with a power of ten and is laid
+    out by numpy; every other cell is format_float's own text.  A whole float
+    is the integer's text, as "%d" writes it.  Rows are formatted in pieces of
+    at most _FORMAT_CELLS cells, or one row when a row is longer.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    step = max(1, _FORMAT_CELLS // max(1, table.shape[1]))
+    return "".join([_format_piece(table[start : start + step]) for start in range(0, len(table), step)])
 
 
 # The index sides of each entry table, with the document key of each side's order.

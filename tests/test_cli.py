@@ -560,6 +560,24 @@ def test_simulate_cells_are_format_float(workdir, monkeypatch):
         assert row.split(",") == [str(number), format_float(value), format_float(value)]
 
 
+def test_simulate_formats_its_blocks_on_the_workers(workdir, monkeypatch):
+    # the main thread writes the header and each block's finished text; no
+    # block's rows are formatted there
+    calls = []
+    format_rows = cli.format_rows
+
+    def recording(table):
+        calls.append((threading.current_thread() is threading.main_thread(), len(table)))
+        return format_rows(table)
+
+    monkeypatch.setattr(cli, "format_rows", recording)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    assert main(["simulate", "persistent.json", "--samples", "3000", "--seed", "4", "--out", "s.csv"]) == 0
+    worker_rows = [rows for on_main, rows in calls if not on_main]
+    assert len(worker_rows) == 66 and sum(worker_rows) == 3000  # 65 blocks of 46 samples and one of 10
+    assert [rows for on_main, rows in calls if on_main] == [0]
+
+
 def test_console_script_help_documents_formats():
     result = subprocess.run(
         [sys.executable, "-m", "wienerchaos.cli", "--help"], capture_output=True, text=True

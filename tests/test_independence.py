@@ -414,6 +414,21 @@ def test_ratio_rejects_a_report_of_another_vector():
     assert repr(emp.ratio(wc.criterion_check(v))) == repr(wc.bound_ratio(v, samples=20_000, seed=6))
 
 
+def test_ratio_rejects_a_report_of_another_vector_of_the_same_orders_and_sizes(tmp_path):
+    # vanishing_overlap (2,2)/(1,1) at n = 4 and at n = 64 share orders and
+    # sizes; the fingerprint of their kernels tells the reports apart, and a
+    # saved and reloaded copy of the sampled vector still matches it
+    spec = wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.5)
+    v = wc.generate(spec, 4)
+    emp = wc.empirical_dependence(v, samples=20_000, seed=1)
+    with pytest.raises(ValidationError, match=r"report of vector [0-9a-f]{8} does not match the sampled vector [0-9a-f]{8}"):
+        emp.ratio(wc.criterion_check(wc.generate(spec, 64)))
+    wc.save_vector(v, tmp_path / "v.json")
+    report = wc.criterion_check(wc.load_vector(tmp_path / "v.json"))
+    assert report.fingerprint == emp.fingerprint
+    assert repr(emp.ratio(report)) == repr(wc.bound_ratio(v, samples=20_000, seed=1))
+
+
 def test_bound_ratio_rejects_exact_independence_before_sampling(monkeypatch):
     v = wc.generate(wc.FamilySpec("disjoint", (2, 2), (1, 1)), 4)
     forbid(monkeypatch, wc.montecarlo, "sample")

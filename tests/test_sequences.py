@@ -14,7 +14,9 @@ With delta_n = theta n^(-1/4) these give exact -1/2 and -1 log-log slopes.
 import json
 import math
 import os
+import tracemalloc
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from wienerchaos.exceptions import (
 )
 from wienerchaos.sequences import (
     FAMILIES,
+    format_rows,
     load_raw,
     save_raw,
     table_document,
@@ -614,6 +617,72 @@ def test_seventeen_digit_floats_survive():
         k = SymmetricTensor(sp, 1, {(1,): value})
         back = wc.load_kernel(json.loads(table_document(k)))
         assert back.entries[(1,)] == value, value
+
+
+def percent_rows(table: np.ndarray) -> str:
+    """The reference: each row through one "%.17g" template, as format_float writes each cell."""
+    template = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(template % tuple(row) for row in table.tolist())
+
+
+def eighteenth_digit_ties(rng: np.random.Generator) -> np.ndarray:
+    """Doubles whose exact decimal expansion has 18 significant digits and ends in 5."""
+    values = []
+    for digits in range(1, 16):  # N + j / 2^f: digits integer digits and f = 18 - digits decimals
+        f = 18 - digits
+        whole = rng.integers(10 ** (digits - 1), 10**digits, 40)
+        values += (whole + (2 * rng.integers(0, 2 ** (f - 1), 40) + 1) / 2.0**f).tolist()
+    for zeros in range(4):  # j / 2^f below 1, with `zeros` zeros after the point and f = 18 + zeros
+        f = 18 + zeros
+        low = int(10.0 ** -(zeros + 1) * 2**f) // 2
+        values += ((2 * rng.integers(low, 2 ** (f - 1) // 10**zeros, 40) + 1) / 2.0**f).tolist()
+    for value in values:
+        exact = Decimal(value).as_tuple()
+        assert len(exact.digits) == 18 and exact.digits[-1] == 5, value
+    return np.array(values)
+
+
+def formatter_cells() -> np.ndarray:
+    rng = np.random.default_rng(26)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64, endpoint=False)
+    # the same with exponents in 2^-14..2^54, where "%.17g" writes no exponent
+    fixed = rng.integers(0, 2**52, 20_000, dtype=np.uint64) | (rng.integers(1009, 1077, 20_000).astype(np.uint64) << 52)
+    decades = np.array([float(f"1e{e}") for e in range(-330, 311)])
+    powers = np.array([10.0**e for e in range(-5, 18)] + [1e-4, 1e16])
+    neighbours = np.concatenate([np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]
+    integers = [0.0, 1.0, 2.0**53, -7.0]
+    cells = np.concatenate(
+        [bits.view(np.float64), fixed.view(np.float64), decades, powers, neighbours, special, integers]
+    )
+    ties = eighteenth_digit_ties(rng)
+    return np.concatenate([cells, ties, -ties, -cells[::7]])
+
+
+@pytest.mark.parametrize("shape", [(1, -1), (-1, 1), (-1, 513)], ids=["one-row", "one-column", "513-columns"])
+def test_format_rows_is_percent_17g_byte_for_byte(shape):
+    # every cell is format_float's text, also across the exact-digit rule's
+    # edges: the nearest doubles around each power of ten, ties at the 18th
+    # digit, zeros, subnormals, nan and inf, and whole floats as "%d" writes them
+    cells = formatter_cells()
+    cells = cells[: len(cells) // 513 * 513]
+    table = cells.reshape(shape)
+    assert format_rows(table) == percent_rows(table)
+    assert format_rows(table[:0]) == ""
+
+
+def test_format_rows_peak_memory():
+    # a 15,625 x 9 block is formatted 2^12 cells at a time: the peak is the
+    # pieces and the text they join into, plus one piece's records, under 1 MiB
+    table = np.random.default_rng(5).standard_normal((15_625, 9))
+    format_rows(table[:1])  # the tables are built once per process
+    tracemalloc.start()
+    try:
+        text = format_rows(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text) + (1 << 20), (peak, len(text))
 
 
 def _count_entry_checks(monkeypatch) -> list:
