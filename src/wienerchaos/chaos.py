@@ -38,9 +38,8 @@ ORACLE_MAX_DIMENSION = 6
 # Largest |Var - 1| that normalize leaves alone and ChaosVector accepts.
 STANDARDIZED_TOL = 1e-10
 
-# Largest Hermite table (one row per slot) evaluate holds for one piece of
-# sample rows, in doubles (128 KiB); more slots than that go a row at a time.
-# At 512 KiB each piece's fresh table and terms fault in their pages.
+# Largest (entries + 1) x rows terms array evaluate holds for one piece of sample rows, in doubles
+# (128 KiB): a piece has _MAX_TABLE // (entries + 1) rows, and more entries go a row at a time.
 _MAX_TABLE = 1 << 14
 
 
@@ -66,29 +65,31 @@ class ChaosElement:
         return f"ChaosElement(order={self.order}, N={self.space.dimension}, nnz={len(self.kernel.val)})"
 
     @_float_ops
-    def _evaluation_layout(self) -> tuple[np.ndarray, int, list, list]:
-        """(coeffs, slots, by_count, by_position) for _evaluate_element, built from the kernel rows once.
+    def _evaluation_layout(self) -> tuple[np.ndarray, list]:
+        """(coeffs, factors) for _evaluate_element, built from the kernel rows once.
 
         coeffs[e] is q! times stored entry e's value.  A slot is a run of equal coordinates in an entry's
-        index.  evaluate's Hermite table has `slots` rows: slot position 0 of every entry, then position 1
-        of every entry that has one, and so on, each in entry order.  by_count holds (count, 0-based
-        coordinates, table rows) per occupation count, and by_position (entries + 1, low, high) per
-        position p >= 1, whose table rows are low:high.  The layout is cached in one assignment; threads
-        that build it at once build equal copies, and one is kept.
+        index.  One factor (0-based coordinates, count, term rows) per slot position and occupation count,
+        ordered by position and then count, takes each entry's factors left to right; entry e is term row
+        e + 1, and consecutive rows are a slice.  The layout is cached in one assignment; threads that
+        build it at once build equal copies, and one is kept.
         """
         if self._layout is None:
             starts = _run_starts(self.kernel.idx)
-            position = np.cumsum(starts, axis=1)[starts]  # 1-based, per slot in row-major order
-            slot = np.argsort(position, kind="stable")  # per table row, its slot
-            entry, coords = np.nonzero(starts)[0][slot], self.kernel.idx[starts][slot] - 1
-            counts = np.diff(np.flatnonzero(starts), append=starts.size)[slot]
-            bounds = [*(np.flatnonzero(np.diff(position[slot])) + 1).tolist(), slot.size]
-            self._layout = (
-                float(math.factorial(self.order)) * self.kernel.val,
-                slot.size,
-                [(a, coords[counts == a], np.flatnonzero(counts == a)) for a in np.flatnonzero(np.bincount(counts))],
-                [(entry[low:high] + 1, low, high) for low, high in zip(bounds, bounds[1:])],
-            )
+            counts = np.diff(np.flatnonzero(starts), append=starts.size)
+            # factors counted by np.bincount: the first np.unique call in a process raises peak RSS by 1.6 MB
+            key = (np.cumsum(starts, axis=1)[starts] - 1) * (self.order + 1) + counts
+            slot = np.argsort(key, kind="stable")  # by factor, each factor's slots in entry order
+            entry, coords = np.nonzero(starts)[0][slot] + 1, self.kernel.idx[starts][slot] - 1
+            sizes = np.bincount(key)
+            bounds = np.cumsum(sizes[sizes > 0]).tolist()
+            factors = []
+            for factor, low, high in zip(np.flatnonzero(sizes).tolist(), [0, *bounds], bounds):
+                rows = entry[low:high]
+                if rows[-1] - rows[0] == high - low - 1:  # consecutive, as in every diagonal kernel
+                    rows = slice(rows[0], rows[-1] + 1)
+                factors.append((coords[low:high], factor % (self.order + 1), rows))
+            self._layout = float(math.factorial(self.order)) * self.kernel.val, factors
         return self._layout
 
 
@@ -140,9 +141,9 @@ class ChaosExpansion:
 def evaluate(obj: Union[ChaosElement, ChaosExpansion], x: np.ndarray) -> Union[float, np.ndarray]:
     """Pathwise value(s) of an element or expansion.
 
-    Each sample's value is sum over stored entries of q! f[m] prod_i
-    H_{a_i}(x_i), accumulated in stored entry order with the factors taken
-    left to right, so equal inputs give bitwise equal outputs.
+    Each sample's value is sum over stored entries of q! f[m] prod_i H_{a_i}(x_i): each factor's
+    Hermite values multiply straight into the terms, left to right, and the terms add from 0.0 in
+    stored entry order, so equal inputs give bitwise equal outputs.
 
     Parameters
     ----------
@@ -170,28 +171,25 @@ def evaluate(obj: Union[ChaosElement, ChaosExpansion], x: np.ndarray) -> Union[f
 
 
 def _evaluate_element(element: ChaosElement, x: np.ndarray) -> np.ndarray:
-    """All entries at once, on row pieces whose Hermite table holds at most _MAX_TABLE doubles.
+    """All entries at once, on row pieces whose terms hold at most _MAX_TABLE doubles.
 
-    Every piece reads the element's one cached layout (_evaluation_layout)
-    and costs one _hermite call per occupation count, one multiply per slot
-    position and one axis-0 reduction of the (entries + 1) x rows terms,
-    whose row 0 is 0.0.  That reduction adds rows in order, so each sample
-    is 0.0 + t_0 + t_1 + ... in entry order; a spare zero column keeps a
-    one-row piece from being summed pairwise.
+    Every piece reads the element's one cached layout (_evaluation_layout):
+    it fills the (entries + 1) x rows terms with the coefficients under a
+    row 0 of 0.0, multiplies each factor's Hermite values into that factor's
+    rows, and adds the terms in one axis-0 reduction.  That reduction adds
+    rows in order, so each sample is 0.0 + t_0 + t_1 + ... in entry order; a
+    spare zero column keeps a one-row piece from being summed pairwise.
     """
-    coeffs, slots, by_count, by_position = element._evaluation_layout()
+    coeffs, factors = element._evaluation_layout()
     out = np.empty(x.shape[0])
-    step = max(1, _MAX_TABLE // max(slots, 1))
+    step = max(1, _MAX_TABLE // (coeffs.size + 1))
     for start in range(0, x.shape[0], step):
         piece = x[start : start + step]
         rows = len(piece)
-        table = np.empty((slots, rows))
-        for count, columns, table_rows in by_count:
-            table[table_rows] = _hermite(count, piece.T[columns])
         terms = np.zeros((coeffs.size + 1, rows + 1))
-        np.multiply(coeffs[:, None], table[: coeffs.size], out=terms[1:, :rows])
-        for entries, low, high in by_position:
-            terms[entries, :rows] *= table[low:high]
+        terms[1:, :rows] = coeffs[:, None]
+        for columns, count, term_rows in factors:
+            terms[term_rows, :rows] *= _hermite(count, piece.T[columns])
         out[start : start + rows] = np.add.reduce(terms, axis=0)[:rows]
     return out
 

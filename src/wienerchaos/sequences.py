@@ -265,14 +265,16 @@ def table_document(table: SymmetricTensor | RawTensor, meta: dict | None = None)
 
 
 def write_atomic(text: str | Iterable[str], path: str) -> None:
-    """Write text, or its chunks in order, to path via a temporary file and a rename.
+    """Write text, or its chunks in order, to path via a new temporary file beside it and a rename.
 
-    A failed write, including an exception raised while producing a chunk,
-    leaves neither a partial file nor the temporary file behind.
+    The temporary file's random name replaces no file, and no other write shares it; open's "x" mode
+    gives it the mode open(path, "w") would.  A failed write, including an exception raised while
+    producing a chunk, leaves neither a partial file nor the temporary file behind.
     """
-    tmp = f"{path}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    handle = open(tmp, "x", encoding="utf-8")
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with handle:
             handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:

@@ -12,6 +12,7 @@ Three oracles with no code shared with the implementation:
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -161,6 +162,30 @@ def test_evaluate_equals_the_per_entry_loop(monkeypatch, table):
     x = np.array([[1.0, 0.0], [-1.0, 0.0], [0.5, 0.0]])
     assert evaluate(negative, x).tobytes() == per_entry_evaluate(negative, x).tobytes()
     assert not np.signbit(evaluate(negative, x)[:2]).any()
+
+
+def test_dense_kernel_pieces_hold_the_cap_over_entries(monkeypatch):
+    # the (entries + 1) x rows terms bound a piece, not the slot count: a
+    # dense order-3 kernel of 200 entries on 10 coordinates (499 slots)
+    # takes _MAX_TABLE // 201 = 81 rows per piece, and every _hermite call
+    # reads one piece's rows
+    widths = []
+
+    def recording(count, x):
+        widths.append(x.shape[-1])
+        return _hermite(count, x)
+
+    monkeypatch.setattr(chaos, "_hermite", recording)
+    rng = np.random.default_rng(27)
+    indices = list(itertools.combinations_with_replacement(range(1, 11), 3))
+    entries = {indices[i]: float(rng.normal()) for i in rng.choice(len(indices), 200, replace=False)}
+    element = ChaosElement(SymmetricTensor(HilbertSpace(10), 3, entries))
+    x = rng.standard_normal((2000, 10))
+    assert evaluate(element, x).tobytes() == per_entry_evaluate(element, x).tobytes()
+    assert chaos._MAX_TABLE // 201 == 81
+    pieces = [81] * 24 + [2000 - 24 * 81]
+    factors = len(widths) // len(pieces)
+    assert widths == [rows for rows in pieces for _ in range(factors)]
 
 
 def test_isometry_by_quadrature():

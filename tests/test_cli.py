@@ -269,9 +269,9 @@ def test_failed_run_leaves_no_output_file(workdir):
            "entries": [{"index": [9], "value": 1.0}]}]}]}
     with open("bad.json", "w") as handle:
         json.dump(bad, handle)
+    files = sorted(os.listdir())
     assert main(["check", "bad.json", "--samples", "0", "--out", "never.csv"]) == 2
-    assert not os.path.exists("never.csv")
-    assert not os.path.exists("never.csv.tmp")
+    assert sorted(os.listdir()) == files  # neither never.csv nor a temporary file
 
 
 def _private_imports(module: str) -> list:
@@ -499,11 +499,11 @@ def test_check_refuses_a_kernel_whose_variance_overflows(workdir, capsys):
         '{"dimension": 1, "groups": [{"order": 1, "elements": '
         '[{"dimension": 1, "order": 1, "entries": [{"index": [1], "value": 1e155}]}]}]}'
     )
+    files = sorted(os.listdir())
     assert main(["check", "huge.json", "--samples", "0", "--out", "out.json"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: huge.json: group 1, element 1: ") and "variance overflows to inf" in err
-    assert not os.path.exists("out.json")
-    assert not os.path.exists("out.json.tmp")
+    assert sorted(os.listdir()) == files  # neither out.json nor a temporary file
 
 
 def test_check_refuses_a_kernel_with_zero_norm(workdir, capsys):
@@ -543,9 +543,11 @@ CELL_VALUES = [-0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e17, -1.5e300]
 
 
 def test_simulate_cells_are_format_float(workdir, monkeypatch):
-    # a block of rows is formatted by one % operation; each "%.17g" cell
-    # must be format_float's text: the signed zero, the smallest subnormal
-    # and both sides of the switches between fixed and exponent notation
+    # a block of rows is formatted by format_rows, which lays out a cell in
+    # [1e-4, 1e16) from its exact digits and writes every other cell as
+    # format_float does; each cell must be format_float's "%.17g" text: the
+    # signed zero, the smallest subnormal and both sides of the switches
+    # between fixed and exponent notation
     def evaluate(element, block):
         assert block.shape[0] == len(CELL_VALUES)
         return np.array(CELL_VALUES)
@@ -910,10 +912,10 @@ def test_simulate_failing_midway_leaves_no_file(workdir, monkeypatch):
         return real(element, block)
 
     monkeypatch.setattr(cli, "evaluate", evaluate)
+    files = sorted(os.listdir())
     assert main(["simulate", "persistent.json", "--samples", "3000", "--out", "s.csv"]) == 2
     assert next(calls) > 10
-    assert not os.path.exists("s.csv")
-    assert not os.path.exists("s.csv.tmp")
+    assert sorted(os.listdir()) == files  # neither s.csv nor a temporary file
 
 
 @pytest.mark.parametrize(
@@ -931,10 +933,10 @@ def test_bad_sample_counts_exit_2_and_leave_no_file(workdir, monkeypatch, capsys
         raise AssertionError("a block was drawn")
 
     monkeypatch.setattr(montecarlo, "_block_stream", refuse)
+    files = sorted(os.listdir())
     assert main(argv + ["--out", "out.txt"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert not os.path.exists("out.txt")
-    assert not os.path.exists("out.txt.tmp")
+    assert sorted(os.listdir()) == files  # neither out.txt nor a temporary file
 
 
 def test_check_without_samples_starts_no_thread(workdir, monkeypatch):

@@ -610,6 +610,32 @@ def test_failed_atomic_write_removes_its_temp_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_atomic_writes_keep_existing_files_and_the_plain_mode(tmp_path):
+    # each write opens its own new temporary file: a user's `<out>.tmp` keeps
+    # its bytes, a write started while another one to the same path is open
+    # does not share its file, and the output gets the mode a plain
+    # open(path, "w") gives, not mkstemp's 0600
+    path = str(tmp_path / "out.json")
+    (tmp_path / "out.json.tmp").write_bytes(b"a user's notes\n")
+
+    def chunks():
+        yield "first "
+        write_atomic("second\n", path)
+        yield "first\n"
+
+    old = os.umask(0o022)
+    try:
+        write_atomic(chunks(), path)
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.json.tmp").read_bytes() == b"a user's notes\n"
+    assert Path(path).read_text() == "first first\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.json", "out.json.tmp", "plain"]
+    assert os.stat(path).st_mode == os.stat(tmp_path / "plain").st_mode == 0o100644
+
+
 def test_seventeen_digit_floats_survive():
     values = [1 / 3, math.pi, 1e-300, -math.sqrt(2), 5.0e-324]
     sp = HilbertSpace(1)
