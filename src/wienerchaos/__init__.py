@@ -1,6 +1,6 @@
 """Workbench for vectors of multiple Wiener-Ito integrals on R^N.
 
-Exact kernel calculus (contractions, products, squared covariances),
+Exact kernel calculus (contractions, symmetrization, squared covariances),
 reproducible simulation, and asymptotic-independence diagnostics for
 chaotic vectors, with deterministic kernel sequence families to exercise
 the vanishing-contraction criterion at desk scale.
@@ -8,12 +8,9 @@ the vanishing-contraction criterion at desk scale.
 
 from .chaos import (
     ChaosElement,
-    ChaosExpansion,
     cov_squares,
     cov_squares_and_norms,
     evaluate,
-    isserlis_moment,
-    multiply,
     normalize,
     variance,
 )
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChaosElement",
-    "ChaosExpansion",
     "ChaosVector",
     "DegenerateInputError",
     "FamilySpec",
@@ -88,11 +84,9 @@ __all__ = [
     "generate",
     "hermite",
     "inner",
-    "isserlis_moment",
     "load_kernel",
     "load_vector",
     "multiplicity",
-    "multiply",
     "normalize",
     "sample",
     "save_kernel",

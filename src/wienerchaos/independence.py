@@ -25,7 +25,7 @@ import math
 import operator
 import sys
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -247,8 +247,8 @@ class EmpiricalDependence:
         this result, so no sample is drawn and no contraction runs; see
         bound_ratio for the budget.  Raises ValidationError for a report of
         another vector (other orders or sizes, or another fingerprint), and
-        DegenerateInputError when a cross pair has zero squared covariance or
-        a tuple's budget is zero.
+        DegenerateInputError when every cross pair has zero squared
+        covariance or a tuple's budget is zero.
         """
         if (report.orders, report.sizes) != (self.orders, self.sizes):
             raise ValidationError(
@@ -272,7 +272,7 @@ class IndependenceReport:
     orders: tuple[int, ...]
     sizes: tuple[int, ...]
     fingerprint: str
-    cov_matrix: np.ndarray
+    cov_matrix: np.ndarray = field(compare=False)  # read-only; pairs holds the same numbers
     pairs: tuple[PairRow, ...]
     cov_pass: bool
     contraction_pass: bool
@@ -357,6 +357,7 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
     if not width > 0.0:  # false for nan
         raise ValidationError(f"tolerance must be a positive real, got {tol!r}")
     cov_matrix, rows = exact_pairs(vector)
+    cov_matrix.flags.writeable = False
     cross = [row for row in rows if row.cross]
     witness_cov = max(cross, key=lambda row: row.cov2)
     witness_norm = max(cross, key=lambda row: row.max_norm)
@@ -577,14 +578,13 @@ def bound_ratio(
 
 
 def _cross_cov_root_sum(pairs: Sequence[PairRow]) -> float:
+    """Sum of sqrt(cov2) over the cross pairs, in pair order; 0.0, when every cross pair is 0.0, raises."""
     total = 0.0
     for row in pairs:
-        if not row.cross:
-            continue
-        if row.cov2 <= 0.0:
-            raise DegenerateInputError(
-                f"cross pair ({row.i}, {row.j}) has squared covariance {row.cov2!r}; "
-                "the ratio is undefined on exactly independent input"
-            )
-        total += math.sqrt(row.cov2)
+        if row.cross:
+            total += math.sqrt(row.cov2)
+    if total == 0.0:
+        raise DegenerateInputError(
+            "every cross pair has squared covariance 0.0; the ratio is undefined on exactly independent input"
+        )
     return total

@@ -6,7 +6,8 @@ order, and `val` (float64) their coefficients.  `entries` and `items()` are
 a read-only {index: value} view of the same rows, built on first use.  The
 orbit size q!/prod(a_i!) (a_i the occupation counts) enters every norm and
 inner product.  Operations drop exact zeros only, never small values, so
-results scale homogeneously with their inputs.
+results scale homogeneously with their inputs.  No dense N**q array is ever
+built; the dense forms the tests compare against live in tests/oracles.py.
 
 Every sum adds its terms left to right from 0.0, as `total += term` does:
 norms and inner products in row order, each contraction row in the order of
@@ -26,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,9 +35,6 @@ from .exceptions import InvalidKernelError, ResourceLimitError, ValidationError,
 
 # Exact integer multiplicity arithmetic is guaranteed up to this order.
 MAX_ORDER = 20
-
-# Dense materialization guard (entries of the full N**q array).
-_DENSE_LIMIT = 1 << 24
 
 # Rows one contraction join may hold; a larger join raises ResourceLimitError before it is built.
 _JOIN_LIMIT = 1 << 22
@@ -225,18 +223,6 @@ class _Table:
             and np.array_equal(self.val, other.val)
         )
 
-    def to_dense(self) -> np.ndarray:
-        """Materialize the full N**q array (small inputs only)."""
-        n, order = self.space.dimension, self.idx.shape[1]
-        if n**order > _DENSE_LIMIT:
-            raise ResourceLimitError(f"dense form of size {n}**{order} exceeds the limit")
-        out = np.zeros((n,) * order)
-        for key, value in self.entries.items():
-            sides = (key,) if len(self._ORDERS) == 1 else key
-            for parts in itertools.product(*map(_arrangements, sides)):
-                out[tuple(i - 1 for part in parts for i in part)] = value
-        return out
-
 
 class SymmetricTensor(_Table):
     """Sparse symmetric tensor of fixed order over a HilbertSpace.
@@ -341,21 +327,6 @@ class RawTensor(_Table):
 
 
 RawLike = Union[SymmetricTensor, RawTensor, Mapping, np.ndarray]
-
-
-def _arrangements(index: Index) -> Iterable[Index]:
-    """Distinct arrangements of a sorted multi-index."""
-    if not index:
-        yield ()
-        return
-    seen_first: list[int] = []
-    for pos, first in enumerate(index):
-        if first in seen_first:
-            continue
-        seen_first.append(first)
-        rest = index[:pos] + index[pos + 1 :]
-        for tail in _arrangements(rest):
-            yield (first,) + tail
 
 
 def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | None = None) -> SymmetricTensor:

@@ -1,5 +1,6 @@
-"""The public surface: exported names, the integer- and real-argument rules and the README example."""
+"""The public surface: exported names, the integer- and real-argument rules, the README example and the test oracles."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -127,3 +128,30 @@ def test_readme_quick_start_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_the_oracles_read_only_public_names():
+    # tests/oracles.py checks the package from outside: every wienerchaos
+    # name it imports or reads off a wienerchaos module is public, and the
+    # oracles themselves no longer resolve in the package
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    modules, names = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "wienerchaos":
+            names += node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "wienerchaos":
+                    names += alias.name.split(".")
+                    modules.add(alias.asname or "wienerchaos")
+    for node in ast.walk(tree):
+        base = node
+        while isinstance(base, ast.Attribute):
+            base = base.value
+        if node is not base and isinstance(base, ast.Name) and base.id in modules:
+            names.append(node.attr)  # each link of a chain such as wc.tensor.contract is visited
+    assert "evaluate" in names
+    assert [name for name in names if name.startswith("_")] == []
+    for name in ("ChaosExpansion", "isserlis_moment", "multiply"):
+        assert name not in wc.__all__ and not hasattr(wc, name) and not hasattr(wc.chaos, name)
+    assert not hasattr(wc.SymmetricTensor, "to_dense") and not hasattr(wc.RawTensor, "to_dense")

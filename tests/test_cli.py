@@ -329,6 +329,7 @@ ABSENT_HOOKS = {
     "chaos.multiply@wienerchaos.independence.multiply",
     "chaos.contraction_norms@wienerchaos.independence.contraction_norms",
     "independence.dependence@wienerchaos.cli._dependence_table",
+    "tensor.contract_sym@wienerchaos.chaos.contract_sym",
 }
 
 

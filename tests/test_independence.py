@@ -264,6 +264,16 @@ def test_report_rows_cover_matrix_and_match_witnesses():
         assert row.cov2 == report.cov_matrix[row.i - 1, row.j - 1]
 
 
+def test_reports_compare_and_hash_by_value_and_hold_a_read_only_matrix():
+    v = second_chaos_pair(0.5)
+    report = wc.criterion_check(v)
+    assert report == wc.criterion_check(v)
+    assert hash(report) == hash(wc.criterion_check(v))
+    assert report != wc.criterion_check(second_chaos_pair(0.25))
+    with pytest.raises(ValueError):
+        report.cov_matrix[0, 1] = 0.0
+
+
 def test_report_entries_essentially_nonnegative():
     rng = np.random.default_rng(23)
     for trial in range(25):
@@ -376,6 +386,23 @@ def test_bound_ratio_rejects_exact_independence():
         wc.bound_ratio(v, samples=20_000, seed=4)
 
 
+def test_ratio_is_defined_when_only_some_cross_pairs_are_independent():
+    # f1 and f2 share e3, f3 = e4 is independent of both: cross cov2 values
+    # 3.5, 0.0 and 0.0.  Only a cross root sum of 0.0 leaves the ratio undefined.
+    sp = wc.HilbertSpace(4)
+    f1 = wc.normalize(wc.ChaosElement(wc.SymmetricTensor(sp, 2, {(1, 1): 1.0, (3, 3): 1.0})))
+    f2 = wc.normalize(wc.ChaosElement(wc.SymmetricTensor(sp, 2, {(2, 2): 1.0, (3, 3): 1.0})))
+    f3 = wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(4,): 1.0}))
+    v = wc.ChaosVector([[f1], [f2], [f3]])
+    report = wc.criterion_check(v)
+    assert [row.cov2 for row in report.pairs if row.cross] == [3.5, 0.0, 0.0]
+    ratio = wc.bound_ratio(v, samples=20_000, seed=4)
+    emp = wc.empirical_dependence(v, samples=20_000, seed=4)
+    budgets = [math.prod(f[1:], start=f[0] * math.sqrt(3.5)) for f in emp.budgets]
+    assert ratio == emp.ratio(report) == max(gap / budget for (_, gap, _), budget in zip(emp.rows, budgets))
+    assert ratio > 0.0
+
+
 def forbid(monkeypatch, target, attribute):
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{attribute} was called")
@@ -453,13 +480,15 @@ def test_min_samples_constant():
 
 
 def test_criterion_check_never_expands_a_square(monkeypatch):
-    # The exact path works from cross contractions only; neither multiply
-    # nor an expansion covariance may run.
+    # The exact path joins the cross contractions' norms in one pass and
+    # builds no contraction tensor, so no square F^2 can be expanded either:
+    # every route to one (contract, contract_sym and chaos' contract) fails.
     def forbidden(*args, **kwargs):
-        raise AssertionError("the exact path expanded a product")
+        raise AssertionError("the exact path built a contraction tensor")
 
-    monkeypatch.setattr(wc.chaos, "multiply", forbidden)
-    monkeypatch.setattr(wc.chaos.ChaosExpansion, "covariance", forbidden)
+    monkeypatch.setattr(wc.tensor, "contract", forbidden)
+    monkeypatch.setattr(wc.tensor, "contract_sym", forbidden)
+    monkeypatch.setattr(wc.chaos, "contract", forbidden)
     report = wc.criterion_check(second_chaos_pair(0.5))
     assert report.witness_cov > 0.0
 

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import isserlis_moment
 
 import wienerchaos as wc
 from wienerchaos import sequences, tensor
-from wienerchaos.chaos import isserlis_moment
 from wienerchaos.exceptions import (
     DegenerateInputError,
     InvalidKernelError,

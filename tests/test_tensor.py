@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import to_dense
 
 from wienerchaos import FamilySpec, criterion_check, generate, tensor
 from wienerchaos.exceptions import ResourceLimitError, ValidationError
@@ -277,7 +278,7 @@ def test_norm_counts_multiplicity():
     t = SymmetricTensor(sp, 2, {(1, 2): 0.5, (3, 3): 2.0})
     # ||t||^2 = 2 * 0.25 + 1 * 4
     assert abs(t.norm() ** 2 - 4.5) < 1e-15
-    dense = t.to_dense()
+    dense = to_dense(t)
     assert abs(np.sum(dense * dense) - t.norm() ** 2) < 1e-12
 
 
@@ -285,7 +286,7 @@ def test_to_dense_is_symmetric():
     rng = np.random.default_rng(0)
     sp = HilbertSpace(3)
     t = rand_tensor(rng, sp, 3)
-    dense = t.to_dense()
+    dense = to_dense(t)
     for perm in itertools.permutations(range(3)):
         assert np.array_equal(dense, np.transpose(dense, perm))
 
@@ -322,8 +323,8 @@ def test_symmetrize_matches_dense_oracle():
             ridx = tuple(sorted(int(i) for i in rng.integers(1, dim + 1, size=right)))
             entries[(lidx, ridx)] = float(rng.normal())
         raw = RawTensor(sp, left, right, entries)
-        expected = dense_symmetrize(raw.to_dense())
-        got = symmetrize(raw).to_dense()
+        expected = dense_symmetrize(to_dense(raw))
+        got = to_dense(symmetrize(raw))
         assert np.allclose(got, expected, atol=1e-13)
 
 
@@ -339,8 +340,8 @@ def test_symmetrize_idempotent_on_symmetric_input():
     rng = np.random.default_rng(2)
     sp = HilbertSpace(3)
     t = rand_tensor(rng, sp, 3)
-    again = symmetrize(t.to_dense(), sp, 3)
-    assert np.allclose(again.to_dense(), t.to_dense(), atol=1e-13)
+    again = symmetrize(to_dense(t), sp, 3)
+    assert np.allclose(to_dense(again), to_dense(t), atol=1e-13)
 
 
 def test_inner_matches_dense():
@@ -349,7 +350,7 @@ def test_inner_matches_dense():
     for trial in range(30):
         f = rand_tensor(rng, sp, 2)
         g = rand_tensor(rng, sp, 2)
-        expected = float(np.sum(f.to_dense() * g.to_dense()))
+        expected = float(np.sum(to_dense(f) * to_dense(g)))
         assert abs(inner(f, g) - expected) < 1e-12
     assert abs(inner(f, f) - f.norm() ** 2) < 1e-12
 
@@ -409,8 +410,8 @@ def test_contract_matches_dense_oracle():
         sp = HilbertSpace(dim)
         f = rand_tensor(rng, sp, p)
         g = rand_tensor(rng, sp, q)
-        expected = dense_contract(f.to_dense(), g.to_dense(), r)
-        got = contract(f, g, r).to_dense()
+        expected = dense_contract(to_dense(f), to_dense(g), r)
+        got = to_dense(contract(f, g, r))
         assert got.shape == expected.shape
         assert np.allclose(got, expected, atol=1e-12)
 
@@ -425,8 +426,8 @@ def test_contract_sym_matches_dense_oracle():
         sp = HilbertSpace(dim)
         f = rand_tensor(rng, sp, p)
         g = rand_tensor(rng, sp, q)
-        expected = dense_symmetrize(dense_contract(f.to_dense(), g.to_dense(), r))
-        got = contract_sym(f, g, r).to_dense()
+        expected = dense_symmetrize(dense_contract(to_dense(f), to_dense(g), r))
+        got = to_dense(contract_sym(f, g, r))
         assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -479,7 +480,7 @@ def test_raw_norm_matches_dense():
         f = rand_tensor(rng, sp, int(rng.integers(1, 3)))
         g = rand_tensor(rng, sp, int(rng.integers(1, 3)))
         raw = contract(f, g, 1) if min(f.order, g.order) >= 1 else contract(f, g, 0)
-        dense = raw.to_dense()
+        dense = to_dense(raw)
         assert abs(raw.norm() - float(np.sqrt(np.sum(dense * dense)))) < 1e-12
 
 
