@@ -16,7 +16,16 @@ import math
 
 import numpy as np
 
-from wienerchaos import ChaosElement, RawTensor, ResourceLimitError, ValidationError, contract_sym, evaluate, inner
+from wienerchaos import (
+    ChaosElement,
+    RawTensor,
+    ResourceLimitError,
+    SymmetricTensor,
+    ValidationError,
+    contract_sym,
+    evaluate,
+    inner,
+)
 
 # Guards for the brute-force moment oracle.
 ORACLE_MAX_TOTAL_ORDER = 12
@@ -30,6 +39,14 @@ class ChaosExpansion:
     """A finite sum of integrals of distinct orders: components[k] is the order-k kernel, k = 0 the constant."""
 
     def __init__(self, space, components):
+        # checked before the orders are sorted or a tensor's order is read
+        for order, tensor in components.items():
+            if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+                raise ValidationError(f"component order must be an integer, got {order!r}")
+            if not isinstance(tensor, SymmetricTensor):
+                raise ValidationError(f"component at order {order} is a {type(tensor).__name__}, not a SymmetricTensor")
+            if tensor.order != order or tensor.space != space:
+                raise ValidationError(f"component at order {order} has another order or space than the expansion")
         self.space = space
         self.components = {order: components[order] for order in sorted(components) if len(components[order].val)}
 

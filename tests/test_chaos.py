@@ -242,6 +242,27 @@ def test_multiply_orders_and_expectation():
     assert abs(product.expectation() - variance(F)) < 1e-14
 
 
+def test_expansion_validation():
+    sp = HilbertSpace(2)
+    t1 = SymmetricTensor(sp, 1, {(1,): 1.0})
+    with pytest.raises(ValidationError):
+        ChaosExpansion(sp, {2: t1})
+    with pytest.raises(ValidationError):
+        ChaosExpansion(HilbertSpace(3), {1: t1})
+
+
+@pytest.mark.parametrize(
+    "components",
+    [lambda t: {1: t, "a": t}, lambda t: {1: "x"}, lambda t: {1.0: t}, lambda t: {None: t, 1: t}, lambda t: {True: t}],
+    ids=["string-order", "string-tensor", "float-order", "none-order", "bool-order"],
+)
+def test_expansion_rejects_malformed_components(components):
+    # checked before the orders are sorted or a tensor's order is read
+    sp = HilbertSpace(2)
+    with pytest.raises(ValidationError):
+        ChaosExpansion(sp, components(SymmetricTensor(sp, 1, {(1,): 1.0})))
+
+
 def test_expansion_covariance_orthogonality():
     # Orders never mix: covariance sums k!<h_k, g_k> over shared orders.
     sp = HilbertSpace(2)
