@@ -26,7 +26,6 @@ from .independence import (
     ChaosVector,
     IndependenceReport,
     TestFunction,
-    bound_ratio,
     criterion_check,
     default_dictionary,
     empirical_dependence,
@@ -71,7 +70,6 @@ __all__ = [
     "TestFunction",
     "ValidationError",
     "WienerChaosError",
-    "bound_ratio",
     "contract",
     "contract_sym",
     "cov_squares",

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .exceptions import DegenerateInputError, ValidationError
+from .exceptions import DegenerateInputError, ValidationError, _expect
 from .hermite import _hermite
 from .tensor import HilbertSpace, SymmetricTensor, _float_ops, _run_starts, contract, inner
 
@@ -101,8 +101,7 @@ def evaluate(element: ChaosElement, x: np.ndarray) -> Union[float, np.ndarray]:
         One sample of shape (N,) for a scalar result, or a batch of shape
         (count, N) for per-sample values.
     """
-    if not isinstance(element, ChaosElement):
-        raise ValidationError(f"expected a chaos element, got {type(element).__name__}")
+    _expect(ChaosElement, "a chaos element", element)
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     if single:
@@ -167,6 +166,7 @@ def cov_squares_and_norms(left: ChaosElement, right: ChaosElement) -> tuple[floa
 
     One contraction per r feeds both the covariance and the r-th norm.
     """
+    _expect(ChaosElement, "a chaos element", left, right)
     if left.space != right.space:
         raise ValidationError("squared covariance requires elements over the same space")
     norms, sym_norms = [], []

@@ -1,9 +1,10 @@
-"""Error types shared across the package, and the two readers of scalar arguments.
+"""Error types shared across the package, the two readers of scalar arguments and the type check.
 
 Every integer argument goes through _integer and every real one through
 _real, so each kind has one rule: integers are any non-bool
 numbers.Integral (Python or numpy) stored as int, reals any non-bool
-numbers.Real stored as float.
+numbers.Real stored as float.  A tensor or element argument of the wrong
+type raises through _expect, which names the type it got.
 """
 
 import math
@@ -41,6 +42,13 @@ def _integer(value, what: str, low: int = 0, high: int | None = None, error: typ
             return number
     span = f">= {low}" if high is None else f"in {low}..{high}"
     raise error(f"{what} must be an integer {span}, got {value!r}")
+
+
+def _expect(kind: type, what: str, *values) -> None:
+    """Raise ValidationError "expected {what}, got {type}" for the first value that is not a `kind`."""
+    for value in values:
+        if not isinstance(value, kind):
+            raise ValidationError(f"expected {what}, got {type(value).__name__}")
 
 
 def _real(value) -> float:

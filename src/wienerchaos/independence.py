@@ -26,7 +26,7 @@ import operator
 import sys
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -223,9 +223,7 @@ class EmpiricalDependence:
 
     orders, sizes and fingerprint are the sampled vector's.  rows holds
     (labels, |gap|, stderr) per tuple; budgets holds, per row, the dictionary
-    factors of its ratio budget: ||psi_d'||_inf ||psi_d||_inf^(m_d - 1) for
-    the last group d, then ||psi_j||_(q_1)^m_j for each other group j, with
-    m_j the group sizes and ||psi||_(q_1) = TestFunction.norm(q_1).
+    factors of its ratio budget (see ratio), the last group's first.
     """
 
     gap: float
@@ -243,12 +241,22 @@ class EmpiricalDependence:
     def ratio(self, report: IndependenceReport) -> float:
         """Empirical gap over its theoretical budget, maximized over tuples.
 
+        The budget for a tuple is ||psi_d'||_inf ||psi_d||_inf^(m_d - 1) for
+        the last group d, times ||psi_j||_(q_1)^m_j for each other group j
+        (m_j the group sizes, ||psi||_(q_1) = TestFunction.norm(q_1)), times
+        the sum over cross-group element pairs of sqrt(Cov(F_i^2, F_j^2)).
+        The dictionary factors are kept in budgets, in that order.  The square
+        root is the scale on which the covariance controls contraction norms
+        (see the module docstring), so boundedness of this ratio along a
+        family is the content of the existential constant in the
+        factorization bound.  Used only to check boundedness; the value
+        itself estimates no sharp constant.
+
         The exact side comes from report.pairs, the empirical side from
-        this result, so no sample is drawn and no contraction runs; see
-        bound_ratio for the budget.  Raises ValidationError for a report of
-        another vector (other orders or sizes, or another fingerprint), and
-        DegenerateInputError when every cross pair has zero squared
-        covariance or a tuple's budget is zero.
+        this result, so no sample is drawn and no contraction runs.  Raises
+        ValidationError for a report of another vector (other orders or
+        sizes, or another fingerprint), and DegenerateInputError when every
+        cross pair has zero squared covariance or a tuple's budget is zero.
         """
         if (report.orders, report.sizes) != (self.orders, self.sizes):
             raise ValidationError(
@@ -260,8 +268,8 @@ class EmpiricalDependence:
                 f"report of vector {report.fingerprint} does not match the sampled vector {self.fingerprint}"
             )
         cov_root_sum = _cross_cov_root_sum(report.pairs)
-        budgets = (_budget(labels, f, cov_root_sum) for (labels, _, _), f in zip(self.rows, self.budgets))
-        return _max_ratio(self.rows, budgets)
+        ratios = (gap / _budget(labels, f, cov_root_sum) for (labels, gap, _), f in zip(self.rows, self.budgets))
+        return max([0.0, *ratios])  # a running max from 0.0, in tuple order
 
 
 @dataclass(frozen=True)
@@ -463,11 +471,6 @@ def _budget(labels: tuple[str, ...], factors: tuple[float, ...], cov_root_sum: f
     return budget
 
 
-def _max_ratio(rows: Sequence[tuple[tuple[str, ...], float, float]], budgets: Iterable[float]) -> float:
-    """Largest gap over budget: a running max from 0.0, in tuple order."""
-    return max([0.0, *(gap / budget for (_, gap, _), budget in zip(rows, budgets))])
-
-
 def empirical_dependence(
     vector: ChaosVector,
     functions: Sequence[Sequence[TestFunction]] | None = None,
@@ -496,12 +499,7 @@ def empirical_dependence(
     ValidationError, and more than MAX_TUPLES tuples raise
     ResourceLimitError, before any sample is drawn.
     """
-    return _draw(vector, _plan(vector, functions, samples), samples, seed)
-
-
-def _draw(vector: ChaosVector, plan: tuple, samples: int, seed: int) -> EmpiricalDependence:
-    """Sample a plan from _plan and reduce every tuple's block gaps."""
-    dictionaries, labels, budgets = plan
+    dictionaries, labels, budgets = _plan(vector, functions, samples)
     # samples >= MIN_SAMPLES: exactly DEFAULT_BLOCKS full blocks of >= 156 samples
     batch = montecarlo.sample(seed, vector.space.dimension, samples)
     n_blocks = batch.n_full_blocks
@@ -545,36 +543,6 @@ def _draw(vector: ChaosVector, plan: tuple, samples: int, seed: int) -> Empirica
         rows=rows,
         budgets=tuple(budgets),
     )
-
-
-def bound_ratio(
-    vector: ChaosVector,
-    functions: Sequence[Sequence[TestFunction]] | None = None,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> float:
-    """Empirical gap over its theoretical budget, maximized over tuples.
-
-    The budget for a tuple is ||psi_d'||_inf ||psi_d||_inf^(m_d - 1) for
-    the last group d, times ||psi_j||_(q_1)^m_j for each other group j (m_j
-    the group sizes, ||psi||_(q_1) = TestFunction.norm(q_1)), times the sum
-    over cross-group element pairs of sqrt(Cov(F_i^2, F_j^2)).  The square root
-    is the scale on which the covariance controls contraction norms (see
-    the module docstring), so boundedness of this ratio along a family is
-    the content of the existential constant in the factorization bound.
-    Used only to check boundedness; the value itself estimates no sharp
-    constant.
-
-    One exact pass and one sampling pass.  Exactly independent input, and
-    a tuple with a zero budget, raise DegenerateInputError before any
-    sample is drawn.  A caller that already holds both results gets the
-    same value from EmpiricalDependence.ratio.
-    """
-    report = criterion_check(vector)
-    cov_root_sum = _cross_cov_root_sum(report.pairs)
-    plan = _plan(vector, functions, samples)
-    budgets = [_budget(labels, f, cov_root_sum) for labels, f in zip(*plan[1:])]  # every one, before the draw
-    return _max_ratio(_draw(vector, plan, samples, seed).rows, budgets)
 
 
 def _cross_cov_root_sum(pairs: Sequence[PairRow]) -> float:

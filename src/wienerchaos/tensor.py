@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .exceptions import InvalidKernelError, ResourceLimitError, ValidationError, _integer, _real
+from .exceptions import InvalidKernelError, ResourceLimitError, ValidationError, _expect, _integer, _real
 
 # Exact integer multiplicity arithmetic is guaranteed up to this order.
 MAX_ORDER = 20
@@ -66,9 +66,9 @@ def occupation(index: Index) -> tuple[tuple[int, int], ...]:
 
 
 def multiplicity(index: Index) -> int:
-    """Number of distinct arrangements of a sorted multi-index, q!/prod(a_i!)."""
+    """Number of distinct arrangements of a multi-index, q!/prod(a_i!), in whatever order it is given."""
     count = math.factorial(len(index))
-    for _, a in occupation(index):
+    for _, a in occupation(sorted(index)):
         count //= math.factorial(a)
     return count
 
@@ -259,9 +259,15 @@ class SymmetricTensor(_Table):
 
     @_float_ops
     def scaled(self, factor: float) -> "SymmetricTensor":
-        return SymmetricTensor._of(self.space, (self.order,), self.idx, factor * self.val)
+        """The tensor times a finite real factor (a non-bool numbers.Real); anything else raises ValidationError."""
+        value = _real(factor)
+        if not math.isfinite(value):
+            raise ValidationError(f"scale factor must be a finite real, got {factor!r}")
+        return SymmetricTensor._of(self.space, (self.order,), self.idx, value * self.val)
 
     def __add__(self, other: "SymmetricTensor") -> "SymmetricTensor":
+        if not isinstance(other, SymmetricTensor):
+            return NotImplemented
         if self.space != other.space or self.order != other.order:
             raise ValidationError("tensor addition requires equal space and order")
         keys, group = _unique_rows(np.concatenate([self.idx, other.idx]))
@@ -337,7 +343,9 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
     raw : SymmetricTensor, RawTensor, mapping, or ndarray
         A mapping uses full (possibly unsorted) 1-based index tuples as keys
         and requires `space`; an ndarray of shape (N,)*q is read with 0-based
-        positions.  Entries absent from a sparse input are zero.
+        positions.  Entries absent from a sparse input are zero.  Array
+        entries follow the mapping rule: a bool, complex or object dtype
+        raises ValidationError.
 
     Returns
     -------
@@ -351,6 +359,8 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
     if isinstance(raw, RawTensor):
         return raw.symmetrized()
     if isinstance(raw, np.ndarray):
+        if raw.dtype.kind not in "iuf":
+            raise ValidationError(f"array entries must be real, non-bool numbers, got dtype {raw.dtype}")
         if space is None:
             if raw.ndim == 0:
                 raise ValidationError("scalar array input requires an explicit space")
@@ -385,6 +395,7 @@ def inner(f: SymmetricTensor, g: SymmetricTensor) -> float:
     Computed as sum over shared sorted indices of orbit_size * f * g, which
     equals the dense sum over all N**q positions.
     """
+    _expect(SymmetricTensor, "a SymmetricTensor", f, g)
     if f.space != g.space:
         raise ValidationError("inner product requires tensors over the same space")
     if f.order != g.order:
@@ -439,6 +450,7 @@ def contract(f: SymmetricTensor, g: SymmetricTensor, r: int) -> RawTensor:
         Number of contracted slots, 0 <= r <= min(p, q).  r = 0 is the
         tensor product; r = p = q is the inner product as an order-0 tensor.
     """
+    _expect(SymmetricTensor, "a SymmetricTensor", f, g)
     if f.space != g.space:
         raise ValidationError("contraction requires tensors over the same space")
     r = _integer(r, "contraction rank", 0, min(f.order, g.order))

@@ -163,7 +163,8 @@ def test_criterion_5_ratio_boundedness():
     # which a rank test cannot tell apart from growth.
     spec = wc.FamilySpec("vanishing_overlap", (2, 2), (1, 1), theta=0.25)
     ns = (2, 4, 8, 16, 32)
-    ratios = [wc.bound_ratio(wc.generate(spec, n), samples=1_000_000, seed=0) for n in ns]
+    vectors = [wc.generate(spec, n) for n in ns]
+    ratios = [wc.empirical_dependence(v, samples=1_000_000, seed=0).ratio(wc.criterion_check(v)) for v in vectors]
     rho, p_greater = stats.spearmanr(ns, ratios, alternative="greater")
     ok = p_greater > 0.05 and max(ratios) < 1.0
     detail = (

@@ -10,6 +10,19 @@ import wienerchaos as wc
 from wienerchaos.exceptions import ValidationError
 
 
+def test_the_public_names():
+    # adding or removing a public name is an edit here
+    assert sorted(wc.__all__) == [
+        "ChaosElement", "ChaosVector", "DegenerateInputError", "FamilySpec", "GENERATOR_TAG", "HilbertSpace",
+        "IndependenceReport", "InvalidKernelError", "RawTensor", "ResourceLimitError", "SampleBatch",
+        "SymmetricTensor", "TestFunction", "ValidationError", "WienerChaosError", "__version__", "contract",
+        "contract_sym", "cov_squares", "cov_squares_and_norms", "criterion_check", "default_dictionary",
+        "empirical_dependence", "evaluate", "exact_pairs", "generate", "hermite", "inner", "load_kernel",
+        "load_vector", "multiplicity", "normalize", "sample", "save_kernel", "save_vector", "squared_cov_matrix",
+        "symmetrize", "variance",
+    ]  # fmt: skip
+
+
 def test_every_export_resolves():
     missing = [name for name in wc.__all__ if not hasattr(wc, name)]
     assert missing == []
@@ -35,8 +48,8 @@ def _first(iterator):
 
 
 # Numeric arguments reject bools, integer ones non-integers and real ones
-# reals too large for a float, with ValidationError: never a raw TypeError,
-# OverflowError or a silent conversion.
+# non-reals and reals too large for a float, with ValidationError: never a
+# raw TypeError, OverflowError, numpy error or a silent conversion.
 @pytest.mark.parametrize(
     "call",
     [
@@ -55,6 +68,9 @@ def _first(iterator):
         lambda: wc.default_dictionary()[0].norm(True),
         lambda: wc.default_dictionary()[0].deriv_bound(True),
         lambda: wc.default_dictionary()[0].deriv_bound(1.5),
+        lambda: _pair()[0].scaled(True),
+        lambda: _pair()[0].scaled(10**400),
+        lambda: _pair()[0].scaled("a"),
     ],
     ids=[
         "contract-bool-r",
@@ -72,11 +88,34 @@ def _first(iterator):
         "norm-bool-order",
         "deriv_bound-bool-order",
         "deriv_bound-float-order",
+        "scaled-bool-factor",
+        "scaled-factor-beyond-float",
+        "scaled-string-factor",
     ],
 )
 def test_integer_arguments_reject_bools_and_non_integers(call):
     with pytest.raises(ValidationError):
         call()
+
+
+# Tensor and element arguments of another type raise ValidationError naming
+# it, as evaluate and ChaosElement do, rather than an AttributeError.
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda f, F: wc.inner(f, 3), "a SymmetricTensor, got int"),
+        (lambda f, F: wc.inner(F, f), "a SymmetricTensor, got ChaosElement"),
+        (lambda f, F: wc.contract(f, {(1, 1): 1.0}, 1), "a SymmetricTensor, got dict"),
+        (lambda f, F: wc.contract_sym(None, f, 1), "a SymmetricTensor, got NoneType"),
+        (lambda f, F: wc.cov_squares(F, f), "a chaos element, got SymmetricTensor"),
+        (lambda f, F: wc.cov_squares_and_norms(2.0, F), "a chaos element, got float"),
+    ],
+    ids=["inner-int", "inner-element", "contract-dict", "contract_sym-none", "cov_squares-tensor", "cov_squares_and_norms-float"],
+)
+def test_tensor_and_element_arguments_name_a_wrong_type(call, shown):
+    f = _pair()[0]
+    with pytest.raises(ValidationError, match=f"expected {shown}$"):
+        call(f, wc.ChaosElement(f))
 
 
 # Integer arguments take any non-bool numbers.Integral and are stored as

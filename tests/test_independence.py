@@ -33,6 +33,11 @@ from wienerchaos.independence import (
 )
 
 
+def sampled_ratio(v, functions=None, samples=20_000, seed=0):
+    """The gap-over-budget ratio of v: one sampling pass, then the exact report."""
+    return wc.empirical_dependence(v, functions, samples=samples, seed=seed).ratio(wc.criterion_check(v))
+
+
 def gaussian_pair(rho, dim=2):
     sp = wc.HilbertSpace(dim)
     X = wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(1,): 1.0}))
@@ -86,7 +91,7 @@ def test_function_norm_accumulates_bounds():
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, True, "1", 10**400])
 def test_function_bounds_must_be_finite_and_nonnegative(bad):
-    # a negative bound made bound_ratio positive and a NaN one read as 0.0;
+    # a negative bound made the ratio positive and a NaN one read as 0.0;
     # both are rejected where the bound is read
     with pytest.raises(ValidationError, match="sup must be a finite real >= 0"):
         TestFunction("bad", np.cos, bad, lambda k: 1.0)
@@ -105,7 +110,7 @@ def test_bad_derivative_bound_fails_before_sampling(monkeypatch, bad):
     with pytest.raises(ValidationError, match="'bad'"):
         wc.empirical_dependence(v, functions, samples=20_000)
     with pytest.raises(ValidationError, match="'bad'"):
-        wc.bound_ratio(v, functions, samples=20_000)
+        sampled_ratio(v, functions)
 
 
 def test_zero_budget_ratio_names_the_tuple():
@@ -115,19 +120,16 @@ def test_zero_budget_ratio_names_the_tuple():
     one = TestFunction("one", np.ones_like, 1.0, lambda k: 0.0)
     functions = [default_dictionary()[:1], [one]]
     with pytest.raises(DegenerateInputError, match=r"tuple \(cos0.5, one\) has a zero budget"):
-        wc.bound_ratio(v, functions, samples=20_000, seed=4)
+        sampled_ratio(v, functions, seed=4)
 
 
-def test_zero_budget_fails_bound_ratio_before_sampling(monkeypatch):
-    # bound_ratio checks every budget before the draw; a held result's
-    # ratio makes the same check on the same budget function
+def test_zero_budget_fails_only_the_ratio():
+    # a zero budget leaves the gap defined: the draw runs, and only the
+    # held result's ratio raises, as sweep's nan cell expects
     v = second_chaos_pair(0.5)
     functions = [default_dictionary()[:1], [TestFunction("one", np.ones_like, 1.0, lambda k: 0.0)]]
-    forbid(monkeypatch, wc.montecarlo, "sample")
-    with pytest.raises(DegenerateInputError, match=r"tuple \(cos0.5, one\) has a zero budget"):
-        wc.bound_ratio(v, functions, samples=20_000, seed=4)
-    monkeypatch.undo()
     emp = wc.empirical_dependence(v, functions, samples=20_000, seed=4)
+    assert math.isfinite(emp.gap)
     with pytest.raises(DegenerateInputError, match=r"tuple \(cos0.5, one\) has a zero budget"):
         emp.ratio(wc.criterion_check(v))
 
@@ -144,7 +146,7 @@ def test_zero_budget_fails_bound_ratio_before_sampling(monkeypatch):
 )
 def test_each_group_needs_a_sequence_of_test_functions(monkeypatch, functions, group):
     forbid(monkeypatch, wc.montecarlo, "sample")
-    for probe in (wc.empirical_dependence, wc.bound_ratio):
+    for probe in (wc.empirical_dependence, sampled_ratio):
         with pytest.raises(ValidationError, match=f"group {group} needs a non-empty sequence of TestFunction"):
             probe(second_chaos_pair(0.5), functions, samples=20_000)
 
@@ -369,21 +371,21 @@ def test_multi_element_groups_use_products():
     assert result.gap > 4 * result.stderr
 
 
-def test_bound_ratio_positive_and_deterministic():
+def test_ratio_positive_and_deterministic():
     v = second_chaos_pair(0.5)
-    r1 = wc.bound_ratio(v, samples=20_000, seed=4)
-    r2 = wc.bound_ratio(v, samples=20_000, seed=4)
+    r1 = sampled_ratio(v, seed=4)
+    r2 = sampled_ratio(v, seed=4)
     assert r1 == r2
     assert 0.0 < r1 < 10.0
 
 
-def test_bound_ratio_rejects_exact_independence():
+def test_ratio_rejects_exact_independence():
     sp = wc.HilbertSpace(2)
     X = wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(1,): 1.0}))
     Y = wc.ChaosElement(wc.SymmetricTensor(sp, 1, {(2,): 1.0}))
     v = wc.ChaosVector([[X], [Y]])
     with pytest.raises(DegenerateInputError):
-        wc.bound_ratio(v, samples=20_000, seed=4)
+        sampled_ratio(v, seed=4)
 
 
 def test_ratio_is_defined_when_only_some_cross_pairs_are_independent():
@@ -396,7 +398,7 @@ def test_ratio_is_defined_when_only_some_cross_pairs_are_independent():
     v = wc.ChaosVector([[f1], [f2], [f3]])
     report = wc.criterion_check(v)
     assert [row.cov2 for row in report.pairs if row.cross] == [3.5, 0.0, 0.0]
-    ratio = wc.bound_ratio(v, samples=20_000, seed=4)
+    ratio = sampled_ratio(v, seed=4)
     emp = wc.empirical_dependence(v, samples=20_000, seed=4)
     budgets = [math.prod(f[1:], start=f[0] * math.sqrt(3.5)) for f in emp.budgets]
     assert ratio == emp.ratio(report) == max(gap / budget for (_, gap, _), budget in zip(emp.rows, budgets))
@@ -410,17 +412,17 @@ def forbid(monkeypatch, target, attribute):
     monkeypatch.setattr(target, attribute, forbidden)
 
 
-def test_ratio_from_held_results_matches_bound_ratio(monkeypatch):
+def test_ratio_from_held_results_draws_and_contracts_nothing(monkeypatch):
     # the ratio reuses the exact report and the sampled rows: no sample is
-    # drawn and no contraction runs, and the value is bound_ratio's, bitwise
+    # drawn and no contraction runs, and the value is a fresh pass's, bitwise
     v = wc.generate(wc.FamilySpec("vanishing_overlap", (2, 2, 1), (2, 1, 1), theta=0.5), 4)
-    expected = wc.bound_ratio(v, samples=20_000, seed=6)
+    expected = sampled_ratio(v, seed=6)
     report = wc.criterion_check(v)
     emp = wc.empirical_dependence(v, samples=20_000, seed=6)
     forbid(monkeypatch, wc.montecarlo, "sample")
     forbid(monkeypatch, wc.chaos, "contract")
     got = emp.ratio(report)
-    assert repr(got) == repr(expected)
+    assert repr(got) == repr(expected) == "0.0017849290963941615"
     assert len(emp.budgets) == len(emp.rows)
 
 
@@ -438,7 +440,7 @@ def test_ratio_rejects_a_report_of_another_vector():
         report = wc.criterion_check(wc.generate(spec, 4))
         with pytest.raises(ValidationError, match=rf"report of {shown} does not match .* \(2, 2\) and sizes \(1, 1\)"):
             emp.ratio(report)
-    assert repr(emp.ratio(wc.criterion_check(v))) == repr(wc.bound_ratio(v, samples=20_000, seed=6))
+    assert repr(emp.ratio(wc.criterion_check(v))) == "0.055783181515173745"
 
 
 def test_ratio_rejects_a_report_of_another_vector_of_the_same_orders_and_sizes(tmp_path):
@@ -453,14 +455,7 @@ def test_ratio_rejects_a_report_of_another_vector_of_the_same_orders_and_sizes(t
     wc.save_vector(v, tmp_path / "v.json")
     report = wc.criterion_check(wc.load_vector(tmp_path / "v.json"))
     assert report.fingerprint == emp.fingerprint
-    assert repr(emp.ratio(report)) == repr(wc.bound_ratio(v, samples=20_000, seed=1))
-
-
-def test_bound_ratio_rejects_exact_independence_before_sampling(monkeypatch):
-    v = wc.generate(wc.FamilySpec("disjoint", (2, 2), (1, 1)), 4)
-    forbid(monkeypatch, wc.montecarlo, "sample")
-    with pytest.raises(DegenerateInputError):
-        wc.bound_ratio(v, samples=20_000, seed=4)
+    assert repr(emp.ratio(report)) == "0.0544740339873699"
 
 
 def test_tuple_count_guard_fires_before_sampling(monkeypatch):

@@ -129,6 +129,13 @@ def test_occupation_and_multiplicity():
     assert multiplicity(idx) == math.factorial(6) // (math.factorial(2) * math.factorial(3))
 
 
+def test_multiplicity_reads_the_index_in_any_order():
+    # a multiset has as many arrangements however it is listed
+    assert multiplicity((2, 1, 2)) == multiplicity((1, 2, 2)) == 3
+    for index in itertools.permutations((1, 1, 2, 2, 2, 5)):
+        assert multiplicity(index) == 60
+
+
 def test_constructor_validates_and_lookup_sorts():
     sp = HilbertSpace(3)
     t = SymmetricTensor(sp, 2, {(1, 2): 1.5})
@@ -179,6 +186,20 @@ def test_malformed_entries_raise_validation_error(build):
     # checked before any key is sorted or value converted
     with pytest.raises(ValidationError):
         build(HilbertSpace(3))
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.eye(2, dtype=bool), np.eye(2) + 1j * np.eye(2), np.array([["a", "b"], ["c", "d"]], dtype=object)],
+    ids=["bool", "complex", "object"],
+)
+def test_symmetrize_reads_array_entries_by_the_mapping_rule(array):
+    # a mapping refuses bool and non-real values; an array of those dtypes
+    # neither reads True as 1.0 nor drops an imaginary part
+    with pytest.raises(ValidationError, match=f"array entries must be real, non-bool numbers, got dtype {array.dtype}"):
+        symmetrize(array, HilbertSpace(2), 2)
+    with pytest.raises(ValidationError, match="not a finite number"):
+        symmetrize({(1, 1): array[0, 0]}, HilbertSpace(2), 2)
 
 
 def test_space_dimension_rejects_bool():
@@ -299,6 +320,8 @@ def test_add_and_scale():
     assert (1,) not in s.entries
     assert s[(2,)] == 3.0
     assert a.scaled(2.0)[(1,)] == 2.0
+    with pytest.raises(TypeError):
+        a + 1  # a non-tensor is NotImplemented, so Python raises
 
 
 def test_symmetrize_worked_example():
