@@ -29,8 +29,6 @@ from .independence import (
     criterion_check,
     default_dictionary,
     empirical_dependence,
-    exact_pairs,
-    squared_cov_matrix,
 )
 from .montecarlo import GENERATOR_TAG, SampleBatch, sample
 from .sequences import (
@@ -46,7 +44,6 @@ from .tensor import (
     RawTensor,
     SymmetricTensor,
     contract,
-    contract_sym,
     inner,
     multiplicity,
     symmetrize,
@@ -71,14 +68,12 @@ __all__ = [
     "ValidationError",
     "WienerChaosError",
     "contract",
-    "contract_sym",
     "cov_squares",
     "cov_squares_and_norms",
     "criterion_check",
     "default_dictionary",
     "empirical_dependence",
     "evaluate",
-    "exact_pairs",
     "generate",
     "hermite",
     "inner",
@@ -89,7 +84,6 @@ __all__ = [
     "sample",
     "save_kernel",
     "save_vector",
-    "squared_cov_matrix",
     "symmetrize",
     "variance",
     "__version__",

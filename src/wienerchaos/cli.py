@@ -35,7 +35,7 @@ from .sequences import (
     table_document,
     write_atomic,
 )
-from .tensor import contract, contract_sym
+from .tensor import contract, symmetrize
 
 PAIR_COLUMNS = ("pair_i", "pair_j", "cov2", "max_contraction_norm", "r_argmax", "cross")
 SWEEP_COLUMNS = ("n", "cov2_witness", "contraction_witness", "empirical_gap", "stderr", "bound_ratio")
@@ -93,7 +93,7 @@ def _emit(text: str | Iterable[str], out: str | None) -> None:
 def cmd_contract(args) -> int:
     f = load_kernel(args.f)
     g = load_kernel(args.g)
-    result = contract_sym(f, g, args.r) if args.sym else contract(f, g, args.r)
+    result = symmetrize(contract(f, g, args.r)) if args.sym else contract(f, g, args.r)
     norm = result.norm()
     meta = _meta(_config("contract", args), seed=None)
     meta["norm"] = norm

@@ -1,14 +1,18 @@
-"""Error types shared across the package, the two readers of scalar arguments and the type check.
+"""Error types shared across the package, the readers of scalar and array arguments and the type check.
 
-Every integer argument goes through _integer and every real one through
-_real, so each kind has one rule: integers are any non-bool
-numbers.Integral (Python or numpy) stored as int, reals any non-bool
-numbers.Real stored as float.  A tensor or element argument of the wrong
-type raises through _expect, which names the type it got.
+Every integer argument goes through _integer, every real one through _real
+and every array of reals through _reals, so each kind has one rule:
+integers are any non-bool numbers.Integral (Python or numpy) stored as int,
+reals any non-bool numbers.Real stored as float, and real arrays any input
+numpy reads with an int, unsigned or float dtype, stored as float64.  A
+tensor or element argument of the wrong type raises through _expect, which
+names the type it got.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class WienerChaosError(Exception):
@@ -57,3 +61,14 @@ def _real(value) -> float:
         return float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
     except OverflowError:
         return math.nan
+
+
+def _reals(values, what: str) -> np.ndarray:
+    """values as a float64 array if numpy reads them with an int, unsigned or float dtype.
+
+    Any other dtype raises ValidationError: bool, complex, string, or object (None, an int beyond 64 bits).
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} must be real, non-bool numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .exceptions import _integer
+from .exceptions import _integer, _reals
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -30,9 +30,9 @@ def _hermite(q: int, x: np.ndarray) -> ArrayLike:
 
 
 def hermite(q: int, x: ArrayLike) -> ArrayLike:
-    """Evaluate H_q at x (scalar or array) by the three-term recurrence."""
+    """Evaluate H_q at real x (scalar or array) by the three-term recurrence; other x raise ValidationError."""
     q = _integer(q, "hermite order")
-    xa = np.asarray(x, dtype=np.float64)
+    xa = _reals(x, "hermite points")
     out = np.empty_like(xa)
     out[...] = _hermite(q, xa)
     return float(out) if np.isscalar(x) else out

@@ -25,7 +25,7 @@ import math
 import operator
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -280,7 +280,6 @@ class IndependenceReport:
     orders: tuple[int, ...]
     sizes: tuple[int, ...]
     fingerprint: str
-    cov_matrix: np.ndarray = field(compare=False)  # read-only; pairs holds the same numbers
     pairs: tuple[PairRow, ...]
     cov_pass: bool
     contraction_pass: bool
@@ -305,38 +304,32 @@ def _fingerprint(vector: ChaosVector) -> str:
     return f"{crc:08x}"
 
 
-def squared_cov_matrix(vector: ChaosVector) -> np.ndarray:
-    """Matrix of Cov(F_i^2, F_j^2) over flat element positions.
+def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceReport:
+    """Exact check of the two equivalent vanishing conditions at width tol.
 
-    The diagonal holds Var(F_i^2).  Cross-group entries feed the criterion;
-    within-group entries are informational.  Each entry is cov_squares of
-    its pair, so no square F_i^2 is expanded.
+    Condition one: every cross-group Cov(F_i^2, F_j^2) < tol.  Condition
+    two: every cross-group ||f_i (x)_r f_j|| < tol for all r.  Witnesses
+    are the largest cross-group values with the pair (and r) attaining
+    them.  The report's pairs hold one PairRow per unordered element pair,
+    the upper triangle of the Cov(F_i^2, F_j^2) matrix in row order,
+    diagonal included; only rows with cross=True feed the verdicts.  One
+    contraction join per r over all pairs (tensor._pair_norms) feeds every
+    pair's cov2 and norms, bit for bit those of cov_squares_and_norms.
     """
-    return exact_pairs(vector)[0]
-
-
-def exact_pairs(vector: ChaosVector) -> tuple[np.ndarray, list[PairRow]]:
-    """Squared-covariance matrix and one PairRow per unordered element pair.
-
-    One pass over the upper triangle including the diagonal, so the rows
-    carry the whole matrix; only rows with cross=True feed the criterion
-    verdict.  One contraction join per r over all pairs (tensor._pair_norms)
-    feeds every pair's cov2 and norms, bit for bit those of
-    cov_squares_and_norms.
-    """
+    if vector.d < 2:
+        raise ValidationError("criterion checks need at least two groups")
+    width = _real(tol)  # a float: a float32 tol would round every comparison to float32
+    if not width > 0.0:  # false for nan
+        raise ValidationError(f"tolerance must be a positive real, got {tol!r}")
     elements = vector.elements
     group_of = vector.group_index
-    m = len(elements)
     kernels = [element.kernel for element in elements]
     by_r = [[norms.tolist() for norms in _pair_norms(kernels, r)] for r in range(1, vector.orders[0] + 1)]
-    cov_matrix = np.zeros((m, m))
     rows = []
-    for pair, (i, j) in enumerate(itertools.combinations_with_replacement(range(m), 2)):
+    for pair, (i, j) in enumerate(itertools.combinations_with_replacement(range(len(elements)), 2)):
         p, q = elements[i].order, elements[j].order
         norms = [raw[pair] for raw, _ in by_r[: min(p, q)]]
         cov2 = _cov_from_norms(p, q, norms, [sym[pair] for _, sym in by_r[: min(p, q)]])
-        cov_matrix[i, j] = cov2
-        cov_matrix[j, i] = cov2
         rows.append(
             PairRow(
                 i=i + 1,
@@ -348,24 +341,6 @@ def exact_pairs(vector: ChaosVector) -> tuple[np.ndarray, list[PairRow]]:
                 argmax_r=norms.index(max(norms)) + 1,
             )
         )
-    return cov_matrix, rows
-
-
-def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceReport:
-    """Exact check of the two equivalent vanishing conditions at width tol.
-
-    Condition one: every cross-group Cov(F_i^2, F_j^2) < tol.  Condition
-    two: every cross-group ||f_i (x)_r f_j|| < tol for all r.  Witnesses
-    are the largest cross-group values with the pair (and r) attaining
-    them.
-    """
-    if vector.d < 2:
-        raise ValidationError("criterion checks need at least two groups")
-    width = _real(tol)  # a float: a float32 tol would round every comparison to float32
-    if not width > 0.0:  # false for nan
-        raise ValidationError(f"tolerance must be a positive real, got {tol!r}")
-    cov_matrix, rows = exact_pairs(vector)
-    cov_matrix.flags.writeable = False
     cross = [row for row in rows if row.cross]
     witness_cov = max(cross, key=lambda row: row.cov2)
     witness_norm = max(cross, key=lambda row: row.max_norm)
@@ -374,7 +349,6 @@ def criterion_check(vector: ChaosVector, tol: float = 1e-6) -> IndependenceRepor
         orders=vector.orders,
         sizes=vector.sizes,
         fingerprint=_fingerprint(vector),
-        cov_matrix=cov_matrix,
         pairs=tuple(rows),
         cov_pass=all(row.cov2 < width for row in cross),
         contraction_pass=all(row.max_norm < width for row in cross),

@@ -17,7 +17,7 @@ rounded to float once per term.
 
 Entries are checked once, where they enter: _checked_rows checks the keys and
 values of the public constructors, of symmetrize on a mapping and of the
-loaders as whole arrays.  Results built inside the package skip it; every
+loaders as whole arrays, and the index of a lookup t[index].  Results built inside the package skip it; every
 tensor still gets sorted rows, finite values and no exact zeros.
 """
 
@@ -31,7 +31,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .exceptions import InvalidKernelError, ResourceLimitError, ValidationError, _expect, _integer, _real
+from .exceptions import InvalidKernelError, ResourceLimitError, ValidationError, _expect, _integer, _real, _reals
 
 # Exact integer multiplicity arithmetic is guaranteed up to this order.
 MAX_ORDER = 20
@@ -252,6 +252,8 @@ class SymmetricTensor(_Table):
         return iter(self.entries.items())
 
     def __getitem__(self, index: Index) -> float:
+        """The value at an index in any order; an index the constructor refuses raises ValidationError."""
+        _checked_rows([[index]], [0.0], (self.order,), self.space.dimension, ascending=False)
         return self.entries.get(tuple(sorted(index)), 0.0)
 
     def __repr__(self) -> str:
@@ -322,12 +324,9 @@ class RawTensor(_Table):
     def norm(self) -> float:
         return math.sqrt(_running_total(self._weights() * self.val))
 
-    def symmetrized(self) -> SymmetricTensor:
-        return self.norm_and_symmetrized()[1]
-
     @_float_ops
     def norm_and_symmetrized(self) -> tuple[float, SymmetricTensor]:
-        """(norm(), symmetrized()), computing the multiplicities once for both."""
+        """(norm(), symmetrize(self)), computing the multiplicities once for both."""
         weights = self._weights()
         return math.sqrt(_running_total(weights * self.val)), _orbit_average(self.space, self.order, self.idx, weights)
 
@@ -357,10 +356,9 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
     if isinstance(raw, SymmetricTensor):
         return SymmetricTensor._of(raw.space, (raw.order,), raw.idx, raw.val)
     if isinstance(raw, RawTensor):
-        return raw.symmetrized()
+        return raw.norm_and_symmetrized()[1]
     if isinstance(raw, np.ndarray):
-        if raw.dtype.kind not in "iuf":
-            raise ValidationError(f"array entries must be real, non-bool numbers, got dtype {raw.dtype}")
+        raw = _reals(raw, "array entries")
         if space is None:
             if raw.ndim == 0:
                 raise ValidationError("scalar array input requires an explicit space")
@@ -368,7 +366,7 @@ def symmetrize(raw: RawLike, space: HilbertSpace | None = None, order: int | Non
         if any(s != space.dimension for s in raw.shape):
             raise ValidationError(f"array shape {raw.shape} is not (N,)*q for N={space.dimension}")
         # nonzero positions come in C order, which is the sorted key order
-        return _orbit_average(space, raw.ndim, np.argwhere(raw) + 1, raw[raw != 0].astype(np.float64))
+        return _orbit_average(space, raw.ndim, np.argwhere(raw) + 1, raw[raw != 0])
     if isinstance(raw, Mapping):
         if space is None:
             raise ValidationError("mapping input requires an explicit space")
@@ -589,7 +587,3 @@ def _pair_norms(kernels: Sequence[SymmetricTensor], r: int) -> tuple[np.ndarray,
 
     return tuple(np.sqrt(sum(map(chunk_norms, _join_chunks(table, m)))))
 
-
-def contract_sym(f: SymmetricTensor, g: SymmetricTensor, r: int) -> SymmetricTensor:
-    """Symmetrized contraction: symmetrize(contract(f, g, r))."""
-    return contract(f, g, r).symmetrized()

@@ -22,9 +22,10 @@ from wienerchaos import (
     ResourceLimitError,
     SymmetricTensor,
     ValidationError,
-    contract_sym,
+    contract,
     evaluate,
     inner,
+    symmetrize,
 )
 
 # Guards for the brute-force moment oracle.
@@ -79,7 +80,7 @@ def multiply(left, right):
     components = {}
     for r in range(min(p, q) + 1):
         coeff = math.factorial(r) * math.comb(p, r) * math.comb(q, r)
-        components[p + q - 2 * r] = contract_sym(left.kernel, right.kernel, r).scaled(float(coeff))
+        components[p + q - 2 * r] = symmetrize(contract(left.kernel, right.kernel, r)).scaled(float(coeff))
     return ChaosExpansion(left.space, components)
 
 

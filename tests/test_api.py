@@ -16,10 +16,9 @@ def test_the_public_names():
         "ChaosElement", "ChaosVector", "DegenerateInputError", "FamilySpec", "GENERATOR_TAG", "HilbertSpace",
         "IndependenceReport", "InvalidKernelError", "RawTensor", "ResourceLimitError", "SampleBatch",
         "SymmetricTensor", "TestFunction", "ValidationError", "WienerChaosError", "__version__", "contract",
-        "contract_sym", "cov_squares", "cov_squares_and_norms", "criterion_check", "default_dictionary",
-        "empirical_dependence", "evaluate", "exact_pairs", "generate", "hermite", "inner", "load_kernel",
-        "load_vector", "multiplicity", "normalize", "sample", "save_kernel", "save_vector", "squared_cov_matrix",
-        "symmetrize", "variance",
+        "cov_squares", "cov_squares_and_norms", "criterion_check", "default_dictionary", "empirical_dependence",
+        "evaluate", "generate", "hermite", "inner", "load_kernel", "load_vector", "multiplicity", "normalize",
+        "sample", "save_kernel", "save_vector", "symmetrize", "variance",
     ]  # fmt: skip
 
 
@@ -54,7 +53,6 @@ def _first(iterator):
     "call",
     [
         lambda: wc.contract(*_pair(), True),
-        lambda: wc.contract_sym(*_pair(), True),
         lambda: wc.contract(*_pair(), 1.0),
         lambda: wc.sample(0, 2, 1000).block(2.5),
         lambda: wc.sample(0, 2, 1000).block(True),
@@ -65,6 +63,10 @@ def _first(iterator):
         lambda: wc.hermite(True, 2.0),
         lambda: wc.hermite(np.bool_(True), 2.0),
         lambda: wc.hermite(2.0, 2.0),
+        lambda: wc.hermite(2, None),
+        lambda: wc.hermite(2, True),
+        lambda: wc.hermite(2, "a"),
+        lambda: wc.hermite(2, 1j),
         lambda: wc.default_dictionary()[0].norm(True),
         lambda: wc.default_dictionary()[0].deriv_bound(True),
         lambda: wc.default_dictionary()[0].deriv_bound(1.5),
@@ -74,7 +76,6 @@ def _first(iterator):
     ],
     ids=[
         "contract-bool-r",
-        "contract_sym-bool-r",
         "contract-float-r",
         "block-float-index",
         "block-bool-index",
@@ -85,6 +86,10 @@ def _first(iterator):
         "hermite-bool-order",
         "hermite-numpy-bool-order",
         "hermite-float-order",
+        "hermite-none-point",
+        "hermite-bool-point",
+        "hermite-string-point",
+        "hermite-complex-point",
         "norm-bool-order",
         "deriv_bound-bool-order",
         "deriv_bound-float-order",
@@ -106,11 +111,11 @@ def test_integer_arguments_reject_bools_and_non_integers(call):
         (lambda f, F: wc.inner(f, 3), "a SymmetricTensor, got int"),
         (lambda f, F: wc.inner(F, f), "a SymmetricTensor, got ChaosElement"),
         (lambda f, F: wc.contract(f, {(1, 1): 1.0}, 1), "a SymmetricTensor, got dict"),
-        (lambda f, F: wc.contract_sym(None, f, 1), "a SymmetricTensor, got NoneType"),
+        (lambda f, F: wc.contract(None, f, 1), "a SymmetricTensor, got NoneType"),
         (lambda f, F: wc.cov_squares(F, f), "a chaos element, got SymmetricTensor"),
         (lambda f, F: wc.cov_squares_and_norms(2.0, F), "a chaos element, got float"),
     ],
-    ids=["inner-int", "inner-element", "contract-dict", "contract_sym-none", "cov_squares-tensor", "cov_squares_and_norms-float"],
+    ids=["inner-int", "inner-element", "contract-dict", "contract-none", "cov_squares-tensor", "cov_squares_and_norms-float"],
 )
 def test_tensor_and_element_arguments_name_a_wrong_type(call, shown):
     f = _pair()[0]

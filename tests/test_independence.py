@@ -27,7 +27,6 @@ from wienerchaos.exceptions import DegenerateInputError, ResourceLimitError, Val
 from wienerchaos.independence import (
     MAX_TUPLES,
     MIN_SAMPLES,
-    TestFunction,
     _tanh_deriv_bound,
     default_dictionary,
 )
@@ -80,7 +79,7 @@ def test_tanh_bounds_are_certified():
 
 
 def test_function_norm_accumulates_bounds():
-    f = TestFunction("cos1", np.cos, 1.0, lambda k: 1.0)
+    f = wc.TestFunction("cos1", np.cos, 1.0, lambda k: 1.0)
     assert f.norm(0) == 1.0
     assert f.norm(3) == 4.0
     with pytest.raises(ValidationError):
@@ -94,8 +93,8 @@ def test_function_bounds_must_be_finite_and_nonnegative(bad):
     # a negative bound made the ratio positive and a NaN one read as 0.0;
     # both are rejected where the bound is read
     with pytest.raises(ValidationError, match="sup must be a finite real >= 0"):
-        TestFunction("bad", np.cos, bad, lambda k: 1.0)
-    f = TestFunction("bad", np.cos, 1.0, lambda k: bad)
+        wc.TestFunction("bad", np.cos, bad, lambda k: 1.0)
+    f = wc.TestFunction("bad", np.cos, 1.0, lambda k: bad)
     with pytest.raises(ValidationError, match="'bad': derivative bound 1 must be a finite real >= 0"):
         f.deriv_bound(1)
     with pytest.raises(ValidationError):
@@ -105,7 +104,10 @@ def test_function_bounds_must_be_finite_and_nonnegative(bad):
 @pytest.mark.parametrize("bad", [-1.0, math.nan])
 def test_bad_derivative_bound_fails_before_sampling(monkeypatch, bad):
     v = second_chaos_pair(0.5)
-    functions = [[TestFunction("cos1", np.cos, 1.0, lambda k: 1.0)], [TestFunction("bad", np.cos, 1.0, lambda k: bad)]]
+    functions = [
+        [wc.TestFunction("cos1", np.cos, 1.0, lambda k: 1.0)],
+        [wc.TestFunction("bad", np.cos, 1.0, lambda k: bad)],
+    ]
     forbid(monkeypatch, wc.montecarlo, "sample")
     with pytest.raises(ValidationError, match="'bad'"):
         wc.empirical_dependence(v, functions, samples=20_000)
@@ -117,7 +119,7 @@ def test_zero_budget_ratio_names_the_tuple():
     # a constant test function has derivative bound 0, so its tuples have a
     # zero budget and no ratio
     v = second_chaos_pair(0.5)
-    one = TestFunction("one", np.ones_like, 1.0, lambda k: 0.0)
+    one = wc.TestFunction("one", np.ones_like, 1.0, lambda k: 0.0)
     functions = [default_dictionary()[:1], [one]]
     with pytest.raises(DegenerateInputError, match=r"tuple \(cos0.5, one\) has a zero budget"):
         sampled_ratio(v, functions, seed=4)
@@ -127,7 +129,7 @@ def test_zero_budget_fails_only_the_ratio():
     # a zero budget leaves the gap defined: the draw runs, and only the
     # held result's ratio raises, as sweep's nan cell expects
     v = second_chaos_pair(0.5)
-    functions = [default_dictionary()[:1], [TestFunction("one", np.ones_like, 1.0, lambda k: 0.0)]]
+    functions = [default_dictionary()[:1], [wc.TestFunction("one", np.ones_like, 1.0, lambda k: 0.0)]]
     emp = wc.empirical_dependence(v, functions, samples=20_000, seed=4)
     assert math.isfinite(emp.gap)
     with pytest.raises(DegenerateInputError, match=r"tuple \(cos0.5, one\) has a zero budget"):
@@ -152,7 +154,7 @@ def test_each_group_needs_a_sequence_of_test_functions(monkeypatch, functions, g
 
 
 def test_a_test_function_returns_one_value_per_sample():
-    mean = TestFunction("mean", np.mean, 1.0, lambda k: 1.0)
+    mean = wc.TestFunction("mean", np.mean, 1.0, lambda k: 1.0)
     with pytest.raises(ValidationError, match="'mean' must return one value per sample row"):
         wc.empirical_dependence(second_chaos_pair(0.5), [[mean], default_dictionary()], samples=20_000)
 
@@ -221,11 +223,10 @@ def test_vector_groups_are_sequences_of_chaos_elements():
 
 def test_squared_cov_matrix_values():
     v = gaussian_pair(0.4)
-    matrix = wc.squared_cov_matrix(v)
-    assert matrix.shape == (2, 2)
-    assert np.allclose(matrix, matrix.T)
-    assert abs(matrix[0, 0] - 2.0) < 1e-12  # Var(Z^2)
-    assert abs(matrix[0, 1] - 2 * 0.4**2) < 1e-12
+    cov2 = {(row.i, row.j): row.cov2 for row in wc.criterion_check(v).pairs}
+    assert cov2.keys() == {(1, 1), (1, 2), (2, 2)}
+    assert abs(cov2[1, 1] - 2.0) < 1e-12  # Var(Z^2)
+    assert abs(cov2[1, 2] - 2 * 0.4**2) < 1e-12
 
 
 def test_criterion_check_verdicts_and_witnesses():
@@ -263,17 +264,15 @@ def test_report_rows_cover_matrix_and_match_witnesses():
     # upper triangle in row order, diagonal included
     assert [(row.i, row.j, row.cross) for row in report.pairs] == [(1, 1, False), (1, 2, True), (2, 2, False)]
     for row in report.pairs:
-        assert row.cov2 == report.cov_matrix[row.i - 1, row.j - 1]
+        assert row.cov2 == wc.cov_squares(v.elements[row.i - 1], v.elements[row.j - 1])
 
 
-def test_reports_compare_and_hash_by_value_and_hold_a_read_only_matrix():
+def test_reports_compare_and_hash_by_value():
     v = second_chaos_pair(0.5)
     report = wc.criterion_check(v)
     assert report == wc.criterion_check(v)
     assert hash(report) == hash(wc.criterion_check(v))
     assert report != wc.criterion_check(second_chaos_pair(0.25))
-    with pytest.raises(ValueError):
-        report.cov_matrix[0, 1] = 0.0
 
 
 def test_report_entries_essentially_nonnegative():
@@ -477,12 +476,11 @@ def test_min_samples_constant():
 def test_criterion_check_never_expands_a_square(monkeypatch):
     # The exact path joins the cross contractions' norms in one pass and
     # builds no contraction tensor, so no square F^2 can be expanded either:
-    # every route to one (contract, contract_sym and chaos' contract) fails.
+    # every route to one (tensor's and chaos' contract) fails.
     def forbidden(*args, **kwargs):
         raise AssertionError("the exact path built a contraction tensor")
 
     monkeypatch.setattr(wc.tensor, "contract", forbidden)
-    monkeypatch.setattr(wc.tensor, "contract_sym", forbidden)
     monkeypatch.setattr(wc.chaos, "contract", forbidden)
     report = wc.criterion_check(second_chaos_pair(0.5))
     assert report.witness_cov > 0.0
@@ -528,9 +526,9 @@ def random_vector(rng, orders, sizes):
 
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_exact_pairs_equal_the_per_pair_loop(monkeypatch, chunk):
-    # one join per rank over all pairs gives every pair row and the whole
-    # matrix bit for bit as cov_squares_and_norms does pair by pair, also
-    # when the pairs are packed into many small chunks or joined alone
+    # one join per rank over all pairs gives every pair row bit for bit as
+    # cov_squares_and_norms does pair by pair, also when the pairs are
+    # packed into many small chunks or joined alone
     if chunk is not None:
         monkeypatch.setattr(wc.tensor, "_JOIN_CHUNK", chunk)
     rng = np.random.default_rng(18)
@@ -538,20 +536,17 @@ def test_exact_pairs_equal_the_per_pair_loop(monkeypatch, chunk):
         d = int(rng.integers(2, 4))
         orders = sorted(rng.integers(1, 5, size=d).tolist(), reverse=True)
         vector = random_vector(rng, orders, rng.integers(1, 4, size=d).tolist())
-        matrix, rows = wc.exact_pairs(vector)
+        rows = wc.criterion_check(vector).pairs
         elements = vector.elements
         group_of = vector.group_index
         pairs = [(i, j) for i in range(len(elements)) for j in range(i, len(elements))]
         assert [(row.i, row.j) for row in rows] == [(i + 1, j + 1) for i, j in pairs]
-        expected = np.zeros(matrix.shape)
         for row, (i, j) in zip(rows, pairs):
             cov2, norms = wc.cov_squares_and_norms(elements[i], elements[j])
             want = independence.PairRow(
                 i + 1, j + 1, group_of[i] != group_of[j], cov2, tuple(norms), max(norms), int(np.argmax(norms)) + 1
             )
             assert row == want
-            expected[i, j] = expected[j, i] = cov2
-        assert np.array_equal(matrix, expected)
 
 
 def test_vanishing_overlap_witness_at_large_n():

@@ -24,7 +24,6 @@ from wienerchaos.tensor import (
     RawTensor,
     SymmetricTensor,
     contract,
-    contract_sym,
     inner,
     multiplicity,
     occupation,
@@ -142,6 +141,10 @@ def test_constructor_validates_and_lookup_sorts():
     assert t[(1, 2)] == 1.5
     assert t[(2, 1)] == 1.5
     assert t[(1, 1)] == 0.0
+    # a lookup reads its index by the constructor's entry rule, in any order
+    for index in [(1, 2, 3), (7, 7), (0, 1), ("a", "b"), (True, 2)]:
+        with pytest.raises(ValidationError):
+            t[index]
     # keys are canonical sorted multi-indices; unsorted input is a caller bug
     with pytest.raises(ValidationError):
         SymmetricTensor(sp, 2, {(2, 1): 1.5})
@@ -439,7 +442,7 @@ def test_contract_matches_dense_oracle():
         assert np.allclose(got, expected, atol=1e-12)
 
 
-def test_contract_sym_matches_dense_oracle():
+def test_symmetrized_contraction_matches_dense_oracle():
     rng = np.random.default_rng(6)
     for trial in range(40):
         dim = int(rng.integers(2, 4))
@@ -450,7 +453,7 @@ def test_contract_sym_matches_dense_oracle():
         f = rand_tensor(rng, sp, p)
         g = rand_tensor(rng, sp, q)
         expected = dense_symmetrize(dense_contract(to_dense(f), to_dense(g), r))
-        got = to_dense(contract_sym(f, g, r))
+        got = to_dense(symmetrize(contract(f, g, r)))
         assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -535,11 +538,11 @@ def test_array_calculus_matches_the_dict_oracle_bit_for_bit():
             assert raw.norm() == dict_raw_norm(raw.entries)
             if raw.order > MAX_ORDER:
                 with pytest.raises(ResourceLimitError):
-                    raw.symmetrized()
+                    symmetrize(raw)
                 continue
-            sym = raw.symmetrized()
+            sym = symmetrize(raw)
             _same_entries(sym.entries, dict_symmetrized(raw.entries))
             assert raw.norm_and_symmetrized() == (raw.norm(), sym)
-            assert contract_sym(f, g, r) == sym
+            assert symmetrize(contract(f, g, r)) == sym
     f, g = cases[-2]
     assert max(multiplicity(left) * multiplicity(right) for left, right in contract(f, g, 0).entries) > 2**63
